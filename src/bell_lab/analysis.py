@@ -191,8 +191,13 @@ def scan_dimensions(d_max, lhv_limit: int = SCAN_LHV_LIMIT) -> ScanResult:
     )
 
 
-def _fmt10(x: float) -> str:
+def fmt10(x) -> str:
+    """Report format for floats: 10 significant digits."""
     return f"{float(x):.10g}"
+
+
+def round10(x) -> float:
+    return float(fmt10(x))
 
 
 def scan_to_csv(result: ScanResult) -> str:
@@ -202,10 +207,10 @@ def scan_to_csv(result: ScanResult) -> str:
             ",".join(
                 (
                     str(r.d),
-                    _fmt10(r.q_correlation),
-                    _fmt10(r.bell_quantum),
-                    _fmt10(r.p_threshold),
-                    _fmt10(r.cglmp_value),
+                    fmt10(r.q_correlation),
+                    fmt10(r.bell_quantum),
+                    fmt10(r.p_threshold),
+                    fmt10(r.cglmp_value),
                     "" if r.lhv_max is None else str(r.lhv_max),
                 )
             )
@@ -219,10 +224,10 @@ def scan_to_json(result: ScanResult) -> dict:
         rows.append(
             {
                 "d": r.d,
-                "Q_d": float(_fmt10(r.q_correlation)),
-                "I_d_QM": float(_fmt10(r.bell_quantum)),
-                "p_threshold": float(_fmt10(r.p_threshold)),
-                "cglmp_value": float(_fmt10(r.cglmp_value)),
+                "Q_d": round10(r.q_correlation),
+                "I_d_QM": round10(r.bell_quantum),
+                "p_threshold": round10(r.p_threshold),
+                "cglmp_value": round10(r.cglmp_value),
                 "lhv_max": None if r.lhv_max is None else str(r.lhv_max),
             }
         )

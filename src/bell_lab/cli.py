@@ -17,17 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, core, lhv, quantum
+from .analysis import fmt10, round10
 from .errors import BellLabError
 
 SCHEMA_VERSION = 1
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.10g}"
-
-
-def _round10(x) -> float:
-    return float(_fmt(x))
 
 
 def _emit(text: str) -> None:
@@ -85,11 +78,11 @@ def cmd_quantum(args) -> int:
         "tables": _table_payload(table),
         "summary": {
             "d": d,
-            "Q_d": _round10(quantum.canonical_correlation(d)),
-            "I_d_QM": _round10(quantum.quantum_bell_value(d)),
+            "Q_d": round10(quantum.canonical_correlation(d)),
+            "I_d_QM": round10(quantum.quantum_bell_value(d)),
             "bell_value": float(core.bell_expression(table).approx),
             "correlations": _correlations_payload(table),
-            "closed_form_agreement": _round10(agreement),
+            "closed_form_agreement": round10(agreement),
         },
     }
     _emit_json(report)
@@ -151,9 +144,9 @@ def cmd_noise(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "d": d,
-                "I_d_QM": _round10(quantum.quantum_bell_value(d)),
-                "p_threshold": _round10(closed),
-                "p_threshold_bisect": _round10(bisected),
+                "I_d_QM": round10(quantum.quantum_bell_value(d)),
+                "p_threshold": round10(closed),
+                "p_threshold_bisect": round10(bisected),
                 "delta": float(f"{delta:.3g}"),
             }
         )
@@ -162,9 +155,9 @@ def cmd_noise(args) -> int:
             "\n".join(
                 (
                     f"d = {d}",
-                    f"I_d_QM = {_fmt(quantum.quantum_bell_value(d))}",
-                    f"p_threshold = {_fmt(closed)}",
-                    f"p_threshold_bisect = {_fmt(bisected)}  (delta {delta:.3g})",
+                    f"I_d_QM = {fmt10(quantum.quantum_bell_value(d))}",
+                    f"p_threshold = {fmt10(closed)}",
+                    f"p_threshold_bisect = {fmt10(bisected)}  (delta {delta:.3g})",
                 )
             )
         )
@@ -182,10 +175,10 @@ def cmd_optimize(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "d": d,
         "seed": args.seed,
-        "start_phases": [_round10(x) for x in result.start.as_tuple()],
-        "start_value": _round10(result.start_value),
-        "best_phases": [_round10(x) for x in result.settings.as_tuple()],
-        "best_value": _round10(result.value),
+        "start_phases": [round10(x) for x in result.start.as_tuple()],
+        "start_value": round10(result.start_value),
+        "best_phases": [round10(x) for x in result.settings.as_tuple()],
+        "best_value": round10(result.value),
         "evaluations": result.evaluations,
     }
     if args.format == "json":
@@ -212,8 +205,8 @@ def cmd_cglmp(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "d": d,
-                "kernel_value": _round10(result["kernel_value"]),
-                "cglmp_value": _round10(result["cglmp_value"]),
+                "kernel_value": round10(result["kernel_value"]),
+                "cglmp_value": round10(result["cglmp_value"]),
                 "delta": float(f"{result['delta']:.3g}"),
             }
         )
@@ -222,27 +215,13 @@ def cmd_cglmp(args) -> int:
             "\n".join(
                 (
                     f"d = {d}",
-                    f"kernel_value = {_fmt(result['kernel_value'])}",
-                    f"cglmp_value = {_fmt(result['cglmp_value'])}",
+                    f"kernel_value = {fmt10(result['kernel_value'])}",
+                    f"cglmp_value = {fmt10(result['cglmp_value'])}",
                     f"delta = {result['delta']:.3g}",
                 )
             )
         )
     return 0
-
-
-def _random_rational_table(d: int, rng: np.random.Generator) -> core.JointProbabilityTable:
-    nested = []
-    for _ in range(2):
-        row = []
-        for _ in range(2):
-            weights = rng.integers(1, 10, size=(d, d))
-            total = int(weights.sum())
-            row.append(
-                tuple(tuple(Fraction(int(w), total) for w in line) for line in weights)
-            )
-        nested.append(tuple(row))
-    return core.JointProbabilityTable.from_fractions(tuple(nested))
 
 
 def _check_battery(d: int) -> list[tuple[str, bool, str]]:
@@ -309,7 +288,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
 
     mapping = core.OutcomeMapping.sum_mapping(d)
     assembled = core.bell_from_spin_correlations(table, mapping).approx
-    rational = _random_rational_table(d, rng)
+    rational = core.random_rational_table(d, rng)
     exact_match = (
         core.bell_from_spin_correlations(rational, mapping).exact
         == core.bell_expression(rational).exact
@@ -497,3 +476,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,7 @@ arithmetic alongside the floating-point path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -177,12 +178,6 @@ class OutcomeMapping:
         return cls(d, (a - b) % d, name="difference")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, Integral)) or isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(f"exact entries must be rational, got {type(value).__name__}")
-
-
 def _validate_float_table(p: np.ndarray, d: int, tol: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (2, 2, d, d):
@@ -207,15 +202,18 @@ class JointProbabilityTable:
     """Joint outcome distributions for the four setting pairs.
 
     ``p[i-1, j-1, m, n]`` is the probability that the first party gets m and
-    the second gets n when settings (i, j) are used.  ``p_exact`` optionally
-    mirrors the table as nested tuples of ``Fraction`` so that correlations of
-    exactly-known behaviours (point masses, uniform noise, rational mixtures)
-    can be computed without rounding.
+    the second gets n when settings (i, j) are used.  Exact tables, built by
+    ``from_fractions``, also carry ``numerators``: a read-only (2, 2, d, d)
+    object array of Python ints over one int ``denominator``, the lcm of the
+    entry denominators, so that ``p == numerators / denominator`` and each
+    setting pair's numerators sum to the denominator.  Python ints keep
+    correlations of point masses, uniform noise and rational mixtures exact
+    even when the denominator passes 2**63.
     """
 
     d: int
     p: np.ndarray
-    p_exact: tuple | None = None
+    numerators: np.ndarray | None = None
 
     @classmethod
     def from_array(cls, p, tol: float = INTERNAL_TOL) -> "JointProbabilityTable":
@@ -236,85 +234,80 @@ class JointProbabilityTable:
 
     @classmethod
     def from_fractions(cls, tables) -> "JointProbabilityTable":
-        """Build an exactly-represented table from nested rationals.
+        """Build an exactly-represented table.
 
-        ``tables`` is indexed [i-1][j-1][m][n] with rational entries; each
-        setting pair must sum to exactly 1.
+        ``tables`` is indexed [i-1][j-1][m][n] with rational entries (ints
+        included); each setting pair must sum to exactly 1.
         """
-        exact = tuple(
-            tuple(
-                tuple(tuple(_as_fraction(q) for q in row) for row in tables[si][sj])
-                for sj in range(2)
-            )
-            for si in range(2)
-        )
-        d = check_dimension(len(exact[0][0]))
-        for si in range(2):
-            for sj in range(2):
-                sub = exact[si][sj]
-                if len(sub) != d or any(len(row) != d for row in sub):
-                    raise TableFormatError(f"setting pair ({si + 1},{sj + 1}) is not {d}x{d}")
-                if any(q < 0 for row in sub for q in row):
-                    raise NormalizationError("exact table contains negative entries")
-                total = sum(q for row in sub for q in row)
-                if total != 1:
-                    raise NormalizationError(
-                        f"setting pair ({si + 1},{sj + 1}) sums to {total}, expected 1"
-                    )
-        p = np.array([[[[float(q) for q in row] for row in exact[si][sj]]
-                       for sj in range(2)] for si in range(2)])
+        entries = np.array(tables, dtype=object)
+        if entries.ndim != 4 or entries.shape[:3] != (2, 2, entries.shape[3]):
+            raise TableFormatError(f"expected [2][2][d][d] nested entries, got shape {entries.shape}")
+        d = check_dimension(entries.shape[-1])
+        flat = entries.ravel().tolist()
+        for q in flat:
+            if not isinstance(q, Rational):
+                raise TypeError(f"exact entries must be rational, got {type(q).__name__}")
+        denominator = math.lcm(*(int(q.denominator) for q in flat))
+        nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
+        if min(nums) < 0:
+            raise NormalizationError("exact table contains negative entries")
+        numerators = np.array(nums, dtype=object).reshape(entries.shape)
+        sums = numerators.sum(axis=(2, 3))
+        for si, sj in np.ndindex(2, 2):
+            if sums[si, sj] != denominator:
+                raise NormalizationError(
+                    f"setting pair ({si + 1},{sj + 1}) sums to "
+                    f"{Fraction(sums[si, sj], denominator)}, expected 1"
+                )
+        p = (numerators / denominator).astype(float)
         p.setflags(write=False)
-        return cls(d, p, exact)
+        numerators.setflags(write=False)
+        return cls(d, p, numerators)
 
     @classmethod
     def uniform(cls, d) -> "JointProbabilityTable":
         d = check_dimension(d)
-        cell = Fraction(1, d * d)
-        sub = tuple(tuple(cell for _ in range(d)) for _ in range(d))
-        return cls.from_fractions(((sub, sub), (sub, sub)))
+        return cls.from_fractions(np.full((2, 2, d, d), Fraction(1, d * d), dtype=object))
 
     @classmethod
     def point_mass(cls, d, m: int, n: int) -> "JointProbabilityTable":
         """Table concentrated on outcomes (m, n) for every setting pair."""
         d = check_dimension(d)
-        sub = tuple(
-            tuple(Fraction(1 if (mm, nn) == (m, n) else 0) for nn in range(d))
-            for mm in range(d)
-        )
-        return cls.from_fractions(((sub, sub), (sub, sub)))
+        if not (0 <= m < d and 0 <= n < d):
+            raise DimensionError(f"point-mass outcomes must lie in 0..{d - 1}, got ({m}, {n})")
+        counts = np.zeros((2, 2, d, d), dtype=np.int64)
+        counts[:, :, m, n] = 1
+        return cls.from_fractions(counts)
 
     @property
     def is_exact(self) -> bool:
-        return self.p_exact is not None
+        return self.numerators is not None
+
+    @property
+    def denominator(self) -> int | None:
+        """Common denominator of the exact entries (None for float tables)."""
+        if self.numerators is None:
+            return None
+        return int(self.numerators[0, 0].sum())
 
     def subtable(self, i: int, j: int) -> np.ndarray:
         return self.p[_check_setting(i) - 1, _check_setting(j) - 1]
 
-    def exact_subtable(self, i: int, j: int):
-        if self.p_exact is None:
-            return None
-        return self.p_exact[_check_setting(i) - 1][_check_setting(j) - 1]
+    def _permute_outcomes(self, rows: np.ndarray, cols: np.ndarray) -> "JointProbabilityTable":
+        # entry (m, n) of the result is entry (rows[m], cols[n]) of this table
+        def take(a):
+            if a is None:
+                return None
+            a = a[np.ix_(range(2), range(2), rows, cols)]
+            a.setflags(write=False)
+            return a
+
+        return JointProbabilityTable(self.d, take(self.p), take(self.numerators))
 
     def relabel(self, a_shift: int, b_shift: int) -> "JointProbabilityTable":
         """Cyclically relabel outcomes: m -> m + a_shift, n -> n + b_shift (mod d)."""
-        d = self.d
-        a_shift, b_shift = int(a_shift) % d, int(b_shift) % d
-        p = np.roll(self.p, (a_shift, b_shift), axis=(2, 3))
-        p.setflags(write=False)
-        exact = None
-        if self.p_exact is not None:
-            exact = tuple(
-                tuple(
-                    tuple(
-                        tuple(self.p_exact[si][sj][(m - a_shift) % d][(n - b_shift) % d]
-                              for n in range(d))
-                        for m in range(d)
-                    )
-                    for sj in range(2)
-                )
-                for si in range(2)
-            )
-        return JointProbabilityTable(d, p, exact)
+        k = np.arange(self.d)
+        return self._permute_outcomes((k - int(a_shift)) % self.d, (k - int(b_shift)) % self.d)
 
     def conjugate_second_party(self) -> "JointProbabilityTable":
         """Relabel the second party's outcomes n -> -n (mod d).
@@ -322,23 +315,8 @@ class JointProbabilityTable:
         This swaps the outcome-sum and outcome-difference conventions: sums of
         the relabeled table are distributed like differences of the original.
         """
-        d = self.d
-        idx = (-np.arange(d)) % d
-        p = self.p[:, :, :, idx].copy()
-        p.setflags(write=False)
-        exact = None
-        if self.p_exact is not None:
-            exact = tuple(
-                tuple(
-                    tuple(
-                        tuple(self.p_exact[si][sj][m][(-n) % d] for n in range(d))
-                        for m in range(d)
-                    )
-                    for sj in range(2)
-                )
-                for si in range(2)
-            )
-        return JointProbabilityTable(d, p, exact)
+        k = np.arange(self.d)
+        return self._permute_outcomes(k, (-k) % self.d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,6 +356,16 @@ class JointProbabilityTable:
         return cls.from_subtables(arrays, tol=tol)
 
 
+def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
+    """Random exact table: each setting pair holds integer weights 1..9 over their sum."""
+    pairs = []
+    for _ in range(4):
+        weights = rng.integers(1, 10, size=(d, d))
+        total = int(weights.sum())
+        pairs.append([[Fraction(int(w), total) for w in row] for row in weights])
+    return JointProbabilityTable.from_fractions([pairs[:2], pairs[2:]])
+
+
 def load_table(path, tol: float = FILE_TOL) -> JointProbabilityTable:
     """Read a probability table from a JSON file."""
     text = Path(path).read_text()
@@ -396,15 +384,6 @@ def _check_pair_normalization(p: np.ndarray, i: int, j: int) -> None:
         )
 
 
-def _exact_weighted_sum(numerators: np.ndarray, denominator: int, exact_sub) -> Fraction:
-    total = Fraction(0)
-    for m, row in enumerate(exact_sub):
-        for n, q in enumerate(row):
-            if q:
-                total += q * Fraction(int(numerators[m, n]), denominator)
-    return total
-
-
 def correlation(t: JointProbabilityTable, i: int, j: int) -> BellValue:
     """Kernel-weighted correlation Q_ij of one setting pair."""
     i, j = _check_setting(i), _check_setting(j)
@@ -412,10 +391,9 @@ def correlation(t: JointProbabilityTable, i: int, j: int) -> BellValue:
     p = t.subtable(i, j)
     _check_pair_normalization(p, i, j)
     num = kern.numerators[i - 1, j - 1]
-    exact_sub = t.exact_subtable(i, j)
-    if exact_sub is not None:
-        exact = _exact_weighted_sum(num, kern.denominator, exact_sub)
-        return BellValue.from_exact(exact)
+    if t.is_exact:
+        total = (t.numerators[i - 1, j - 1] * num).sum()
+        return BellValue.from_exact(Fraction(total, t.denominator * kern.denominator))
     return BellValue(float((num * p).sum()) / kern.denominator)
 
 
@@ -470,18 +448,6 @@ def mapped_spin_distribution(
     return np.bincount(classes.ravel(), weights=p.ravel(), minlength=t.d)
 
 
-def _exact_spin_distribution(t, i, j, mapping, sig):
-    d = t.d
-    exact_sub = t.exact_subtable(i, j)
-    buckets = [Fraction(0) for _ in range(d)]
-    for m in range(d):
-        for n in range(d):
-            q = exact_sub[m][n]
-            if q:
-                buckets[(sig * int(mapping.table[m, n])) % d] += q
-    return buckets
-
-
 def spin_correlation(
     t: JointProbabilityTable, i: int, j: int, mapping: OutcomeMapping, sig: int = 1
 ) -> float:
@@ -501,14 +467,15 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
 
     With the outcome-sum mapping this reproduces ``bell_expression`` exactly.
     """
-    if t.p_exact is not None:
-        s = spin(t.d)
-        pieces = []
-        for (i, j), sig in zip(SETTING_PAIRS, (1, -1, 1, 1)):
-            dist = _exact_spin_distribution(t, i, j, mapping, sig)
-            pieces.append(sum((s - k) * q for k, q in enumerate(dist)))
-        exact = (pieces[0] + pieces[1] - pieces[2] + pieces[3]) / s
-        return BellValue.from_exact(exact)
+    if mapping.d != t.d:
+        raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
+    if t.is_exact:
+        # (S - k) / S for k = (sig * g) mod d is ((d - 1) - 2k) / (d - 1)
+        sigs = np.reshape((1, -1, 1, 1), (2, 2, 1, 1))
+        signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
+        weights = signs * ((t.d - 1) - 2 * ((sigs * mapping.table) % t.d))
+        total = (t.numerators * weights).sum()
+        return BellValue.from_exact(Fraction(total, t.denominator * (t.d - 1)))
     s = (t.d - 1) / 2.0
     total = (
         spin_correlation(t, 1, 1, mapping, 1)

@@ -31,19 +31,8 @@ from .errors import DimensionError, EnumerationSizeError, MappingError
 # calls for sampling instead.
 EXHAUSTIVE_LIMIT = 64
 
+# indexed by _accel.CASE_CODE; already in the sorted order that reports use
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
-# case codes emitted by the enumeration kernel, indexed as CASE_CODE there
-_CODE_TO_LABEL = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
-_CASE_BY_COUNTS = {
-    (0, 0): "Case1i",
-    (0, 1): "Case1ii",
-    (1, 0): "Case2i",
-    (1, 1): "Case2ii",
-    (1, 2): "Case2iii",
-    (2, 1): "Case3ii",
-    (2, 2): "Case3i",
-}
-
 
 class DeterministicStrategy(NamedTuple):
     a1: int
@@ -97,7 +86,7 @@ def classify_strategy(s, d) -> str:
     r11, r12, r21, r22 = outcome_sums(_coerce_strategy(s, d))
     n1 = (r11 >= d) + (r22 >= d)
     n2 = (r12 >= d) + (r21 >= d)
-    return _CASE_BY_COUNTS[n1, n2]
+    return CASE_LABELS[_accel.CASE_CODE[n1, n2]]
 
 
 def lhv_value_set(d) -> frozenset[Fraction]:
@@ -162,19 +151,9 @@ def strategy_to_table(s, d) -> JointProbabilityTable:
     """Point-mass probability table of a deterministic strategy (exact)."""
     d = check_dimension(d)
     a1, a2, b1, b2 = _coerce_strategy(s, d)
-    one, zero = Fraction(1), Fraction(0)
-
-    def point(m, n):
-        return tuple(
-            tuple(one if (mm, nn) == (m, n) else zero for nn in range(d)) for mm in range(d)
-        )
-
-    return JointProbabilityTable.from_fractions(
-        (
-            (point(a1, b1), point(a1, b2)),
-            (point(a2, b1), point(a2, b2)),
-        )
-    )
+    counts = np.zeros((2, 2, d, d), dtype=np.int64)
+    counts[[0, 0, 1, 1], [0, 1, 0, 1], [a1, a1, a2, a2], [b1, b2, b1, b2]] = 1
+    return JointProbabilityTable.from_fractions(counts)
 
 
 def worker_count(threads=None) -> int:
@@ -250,10 +229,7 @@ def _summarize(d, mapping, nums, cases, strategies, method, seed=None) -> Enumer
     else:
         argmax = np.unique(strategies[hit], axis=0).astype(np.int16)
     case_hist = np.bincount(cases.astype(np.int64), minlength=7)
-    case_counts = {
-        label: int(case_hist[code])
-        for code, label in sorted(enumerate(_CODE_TO_LABEL), key=lambda cl: cl[1])
-    }
+    case_counts = {label: int(case_hist[code]) for code, label in enumerate(CASE_LABELS)}
     return EnumerationSummary(
         d=d,
         mapping=mapping.name,

@@ -1,11 +1,10 @@
 """Shared helpers for the test suite."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from bell_lab import JointProbabilityTable
+from bell_lab.core import random_rational_table  # noqa: F401  (shared with the tests)
 
 
 def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
@@ -13,21 +12,6 @@ def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
     x = rng.random((2, 2, d, d))
     x /= x.sum(axis=(2, 3), keepdims=True)
     return JointProbabilityTable.from_array(x)
-
-
-def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
-    """Random table with exact Fraction entries summing to one per pair."""
-    nested = []
-    for _ in range(2):
-        row = []
-        for _ in range(2):
-            weights = rng.integers(1, 20, size=(d, d))
-            total = int(weights.sum())
-            row.append(
-                tuple(tuple(Fraction(int(w), total) for w in line) for line in weights)
-            )
-        nested.append(tuple(row))
-    return JointProbabilityTable.from_fractions(tuple(nested))
 
 
 @pytest.fixture

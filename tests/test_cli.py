@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bell_lab
 from bell_lab import cli
 
 
@@ -237,3 +241,17 @@ class TestUsage:
     def test_no_command(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["bell_lab", "bell_lab.cli"])
+    def test_python_m_matches_run(self, capsys, module):
+        argv = ["lhv", "--d", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(bell_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        child = subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (child.returncode, child.stdout) == (code, out)
+        assert out

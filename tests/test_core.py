@@ -24,6 +24,18 @@ from bell_lab.errors import (
 from conftest import random_rational_table, random_table
 
 
+def _fraction_bell_oracle(subs) -> Fraction:
+    """Bell value by a Fraction double loop; ``subs`` lists the pairs 11, 12, 21, 22."""
+    d = len(subs[0])
+    kern = bl.correlation_kernel(d)
+    return sum(
+        sign * sum(
+            kern.weight(i, j, m, n) * Fraction(sub[m][n]) for m in range(d) for n in range(d)
+        )
+        for (i, j), sign, sub in zip(core.SETTING_PAIRS, core.PAIR_SIGNS, subs)
+    )
+
+
 class TestScalars:
     def test_check_dimension_accepts_integers(self):
         assert bl.check_dimension(2) == 2
@@ -156,10 +168,38 @@ class TestJointProbabilityTable:
     def test_uniform_and_point_mass(self):
         u = bl.JointProbabilityTable.uniform(3)
         assert u.is_exact
-        assert u.exact_subtable(1, 1)[2][2] == Fraction(1, 9)
+        assert Fraction(u.numerators[0, 0, 2, 2], u.denominator) == Fraction(1, 9)
         p = bl.JointProbabilityTable.point_mass(3, 1, 2)
         assert p.p[0, 0, 1, 2] == 1.0
-        assert p.exact_subtable(2, 1)[1][2] == 1
+        assert p.numerators[1, 0, 1, 2] == p.denominator == 1
+
+    @pytest.mark.parametrize("m, n", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_point_mass_rejects_outcomes_out_of_range(self, m, n):
+        with pytest.raises(DimensionError):
+            bl.JointProbabilityTable.point_mass(3, m, n)
+
+    def test_from_fractions_rejects_ragged_and_float_entries(self):
+        half = Fraction(1, 2)
+        ragged = (((half, half), (Fraction(0),)),) * 2
+        with pytest.raises(TableFormatError):
+            bl.JointProbabilityTable.from_fractions((ragged, ragged))
+        floats = (((0.5, 0.5), (0.0, 0.0)),) * 2
+        with pytest.raises(TypeError):
+            bl.JointProbabilityTable.from_fractions((floats, floats))
+
+    def test_denominator_above_int64_is_exact(self):
+        # four primes near 2**32: their lcm is about 2**128
+        primes = (4294967291, 4294967279, 4294967231, 4294967197)
+        subs = [
+            ((Fraction(1, q), Fraction(2, q), Fraction(0)),
+             (Fraction(0), 1 - Fraction(3, q), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(0)))
+            for q in primes
+        ]
+        t = bl.JointProbabilityTable.from_fractions((subs[:2], subs[2:]))
+        assert t.denominator == np.prod([Fraction(q) for q in primes]) > 2**63
+        assert t.numerators.dtype == object
+        assert bl.bell_expression(t).exact == _fraction_bell_oracle(subs)
 
     def test_from_fractions_requires_exact_normalization(self):
         half = Fraction(1, 2)
@@ -175,6 +215,9 @@ class TestJointProbabilityTable:
         )
         with pytest.raises(NormalizationError):
             bl.JointProbabilityTable.from_fractions(bad)
+        # integers are probabilities too: pairs of all-ones sum to 4, not 1
+        with pytest.raises(NormalizationError):
+            bl.JointProbabilityTable.from_fractions(np.ones((2, 2, 2, 2), dtype=np.int64))
 
     def test_json_round_trip_preserves_entries(self, rng):
         t = random_table(4, rng)
@@ -250,6 +293,34 @@ class TestCorrelationAndBell:
         shifted = t.relabel(c_a % d, (-c_a) % d)
         assert bl.bell_expression(shifted).exact == bl.bell_expression(t).exact
 
+    @given(st.integers(2, 8), st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_representation_matches_fraction_oracle(self, d, a_shift, b_shift, seed):
+        rng = np.random.default_rng(seed)
+        subs = []
+        for _ in range(4):
+            weights = rng.integers(1, 20, size=(d, d)).tolist()
+            total = sum(map(sum, weights))
+            subs.append([[Fraction(w, total) for w in row] for row in weights])
+        t = bl.JointProbabilityTable.from_fractions((subs[:2], subs[2:]))
+        same = list(range(d))
+        cases = (
+            (t, same, same),
+            (t.relabel(a_shift, b_shift),
+             [(m - a_shift) % d for m in same], [(n - b_shift) % d for n in same]),
+            (t.conjugate_second_party(), same, [(-n) % d for n in same]),
+        )
+        for u, rows, cols in cases:
+            # entry (m, n) of u is entry (rows[m], cols[n]) of t
+            moved = [[[sub[r][c] for c in cols] for r in rows] for sub in subs]
+            exact = [
+                [[Fraction(x, u.denominator) for x in row] for row in u.numerators[i - 1, j - 1]]
+                for i, j in core.SETTING_PAIRS
+            ]
+            assert exact == moved
+            assert np.array_equal((u.numerators / u.denominator).astype(float), u.p)
+            assert bl.bell_expression(u).exact == _fraction_bell_oracle(moved)
+
     def test_correlation_weights_match_manual_sum(self, rng):
         d = 4
         t = random_table(d, rng)
@@ -301,6 +372,13 @@ class TestSpinAssembly:
             assert (
                 bl.bell_from_spin_correlations(t, g).exact
                 == bl.bell_expression(t).exact
+            )
+
+    @pytest.mark.parametrize("mapping_d", [4, 2])
+    def test_exact_assembly_rejects_mapping_of_other_size(self, mapping_d):
+        with pytest.raises(MappingError):
+            bl.bell_from_spin_correlations(
+                bl.JointProbabilityTable.uniform(3), bl.OutcomeMapping.sum_mapping(mapping_d)
             )
 
     def test_spin_assembly_with_difference_equals_cglmp(self, rng):
