@@ -1,32 +1,22 @@
-"""Hot kernel for strategy enumeration: numba-compiled loop with a numpy fallback.
+"""Exact counting of deterministic local strategies.
 
-The exhaustive scan visits d**4 deterministic strategies.  Both backends fill
-the same pair of flat output arrays (scaled Bell numerators and case codes)
-over a half-open range of first-party outcomes, so callers can split the work
-across threads.  Set ``BELL_LAB_NO_NUMBA=1`` to force the pure-numpy path.
+A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2 = (d-1) + X[b1] + Y[b2],
+where, for its pair (a1, a2), X[b1] = g[a2,b1] - g[a1,b1] and
+Y[b2] = -g[a2,b2] - gneg[a1,b2] (g is the outcome mapping table, gneg holds
+(-g) mod d).  Its case code splits the same way, into a class of b1 and a
+class of b2.  ``count_strategies`` uses this separation to summarise all d**4
+strategies from per-pair histograms in O(d**3) time and memory.
+``fill_strategy_arrays`` writes every strategy out in O(d**4) and is kept as
+the reference the tests compare the count against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-FORCE_FALLBACK = _env_flag("BELL_LAB_NO_NUMBA")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and not FORCE_FALLBACK
+# numba is no longer used; the flags stay for tools that still report them
+HAS_NUMBA = False
+USING_NUMBA = False
 
 # case_code[n1, n2] where n1 counts how many of the sums a1+b1, a2+b2 reach d
 # and n2 does the same for a1+b2, a2+b1; -1 marks infeasible combinations.
@@ -39,43 +29,33 @@ CASE_CODE = np.array(
     dtype=np.int8,
 )
 
-
-def _fill_numpy(d, g, gneg, reach, case_code, out_num, out_case, a1_lo, a1_hi):
-    # axes ordered (a1, a2, b1, b2); gneg holds (-g) mod d
-    num = (
-        (d - 1)
-        + g[None, :, :, None]
-        - g[a1_lo:a1_hi, None, :, None]
-        - g[None, :, None, :]
-        - gneg[a1_lo:a1_hi, None, None, :]
-    )
-    n1 = reach[a1_lo:a1_hi, None, :, None] + reach[None, :, None, :]
-    n2 = reach[a1_lo:a1_hi, None, None, :] + reach[None, :, :, None]
-    block = d * d * d
-    lo, hi = a1_lo * block, a1_hi * block
-    out_num[lo:hi] = num.reshape(-1)
-    out_case[lo:hi] = case_code[n1.reshape(-1), n2.reshape(-1)]
+# case code by (class of b1, class of b2): the class of b1 is
+# 2*[a1+b1 >= d] + [a2+b1 >= d] and the class of b2 is 2*[a2+b2 >= d] + [a1+b2 >= d]
+_N1_PART, _N2_PART = np.divmod(np.arange(4), 2)
+CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)]
 
 
-def _fill_loops(d, g, gneg, reach, case_code, out_num, out_case, a1_lo, a1_hi):
-    for a1 in range(a1_lo, a1_hi):
-        off1 = a1 * d * d * d
-        for a2 in range(d):
-            off2 = off1 + a2 * d * d
-            for b1 in range(d):
-                off3 = off2 + b1 * d
-                head = (d - 1) + g[a2, b1] - g[a1, b1]
-                n1_head = reach[a1, b1]
-                n2_head = reach[a2, b1]
-                for b2 in range(d):
-                    out_num[off3 + b2] = head - g[a2, b2] - gneg[a1, b2]
-                    n1 = n1_head + reach[a2, b2]
-                    n2 = n2_head + reach[a1, b2]
-                    out_case[off3 + b2] = case_code[n1, n2]
+def _b1_part(g, a1, a2, b1):
+    """X and the class of b1 for broadcastable outcome arrays."""
+    d = len(g)
+    return g[a2, b1] - g[a1, b1], 2 * (a1 + b1 >= d) + (a2 + b1 >= d)
 
 
-if HAS_NUMBA:
-    _fill_numba = njit(cache=True, nogil=True)(_fill_loops)
+def _b2_part(g, a1, a2, b2):
+    """Y and the class of b2 for broadcastable outcome arrays."""
+    d = len(g)
+    return -g[a2, b2] - (-g[a1, b2]) % d, 2 * (a2 + b2 >= d) + (a1 + b2 >= d)
+
+
+def strategy_values(g, a1, a2, b1, b2):
+    """Bell numerators (d-1)*I/2 and case codes of strategies.
+
+    The four outcome arguments are integer arrays that broadcast together;
+    ``g`` is the int64 mapping table.
+    """
+    x, u = _b1_part(g, a1, a2, b1)
+    y, v = _b2_part(g, a1, a2, b2)
+    return (len(g) - 1) + x + y, CLASS_CASE[u, v]
 
 
 def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
@@ -85,11 +65,53 @@ def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
     index s = ((a1*d + a2)*d + b1)*d + b2; ``out_case[s]`` receives the case
     code of the sum structure (see CASE_CODE).
     """
-    g = np.ascontiguousarray(g, dtype=np.int64)
-    gneg = (d - g) % d
-    a = np.arange(d, dtype=np.int64)
-    reach = ((a[:, None] + a[None, :]) >= d).astype(np.int8)
-    if USING_NUMBA:
-        _fill_numba(d, g, gneg, reach, CASE_CODE, out_num, out_case, a1_lo, a1_hi)
-    else:
-        _fill_numpy(d, g, gneg, reach, CASE_CODE, out_num, out_case, a1_lo, a1_hi)
+    g = np.asarray(g, dtype=np.int64)
+    a = np.arange(d)
+    num, case = strategy_values(g, a[a1_lo:a1_hi, None, None, None], a[:, None, None], a[:, None], a)
+    block = d * d * d
+    out_num[a1_lo * block : a1_hi * block] = num.reshape(-1)
+    out_case[a1_lo * block : a1_hi * block] = case.reshape(-1)
+
+
+def count_strategies(g):
+    """Counts over all d**4 strategies of a mapping table, in O(d**3).
+
+    Returns ``(values, cases, argmax_rows)``: ``values[k]`` counts the
+    strategies with Bell numerator k - 2(d-1), ``cases[c]`` those with case
+    code c, and ``argmax_rows()`` decodes the maximizing strategies as int16
+    (a1, a2, b1, b2) rows in lexicographic order.
+    """
+    g = np.asarray(g, dtype=np.int64)
+    d = len(g)
+    a = np.arange(d)
+    # axes (a1, a2, b): b is b1 for x and u, b2 for y and v
+    x, u = _b1_part(g, a[:, None, None], a[:, None], a)
+    y, v = _b2_part(g, a[:, None, None], a[:, None], a)
+
+    def per_pair(keys, width):
+        # histogram of keys in 0..width-1 for each pair (a1, a2), shape (d*d, width)
+        pair = np.arange(d * d).reshape(d, d, 1) * width
+        return np.bincount((pair + keys).ravel(), minlength=d * d * width).reshape(d * d, width)
+
+    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins
+    width = 2 * d - 1
+    joint = per_pair(x + (d - 1), width).T @ per_pair(y + 2 * (d - 1), width)
+    # joint[i, j] has numerator i + j - 2(d-1): sum its anti-diagonals
+    values = np.array([np.trace(joint[::-1], k) for k in range(1 - width, width)])
+
+    by_class = per_pair(u, 4).T @ per_pair(v, 4)
+    feasible = CLASS_CASE >= 0
+    cases = np.zeros(int(CASE_CODE.max()) + 1, dtype=np.int64)
+    np.add.at(cases, CLASS_CASE[feasible], by_class[feasible])
+
+    x_max, y_max = x.max(axis=2), y.max(axis=2)
+    top = x_max + y_max
+    a1s, a2s = np.nonzero(top == top.max())
+    x_ties = x[a1s, a2s] == x_max[a1s, a2s, None]
+    y_ties = y[a1s, a2s] == y_max[a1s, a2s, None]
+
+    def argmax_rows():
+        k, b1, b2 = np.nonzero(x_ties[:, :, None] & y_ties[:, None, :])
+        return np.stack((a1s[k], a2s[k], b1, b2), axis=1).astype(np.int16)
+
+    return values, cases, argmax_rows

@@ -1,10 +1,12 @@
 """Command line interface.
 
-Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  Reports are
+Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  ``lhv``
+counts all d**4 local strategies exactly (one O(d**3) algorithm, up to
+d = 64) or, with --samples and --seed, summarises a seeded sample.  Reports are
 deterministic for a fixed argument vector: floats are printed with 10
 significant digits, exact rationals as "p/q", and every JSON report carries a
 schema_version field.  Exit codes: 0 success, 1 failed checks, 2 usage or
-input errors.
+input errors, including a request that runs out of memory.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def _lhv_summary(args) -> lhv.EnumerationSummary:
         if args.seed is None:
             raise BellLabError("--samples requires --seed for a reproducible draw")
         return lhv.sample_strategies(d, args.samples, args.seed, mapping)
-    return lhv.enumerate_strategies(d, mapping, threads=args.threads)
+    return lhv.enumerate_strategies(d, mapping)
 
 
 def cmd_lhv(args) -> int:
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Bell correlation toolkit for two d-outcome measurements per side: "
             "quantum tables, local-strategy scans, noise thresholds, and checks."
         ),
-        epilog="BELL_LAB_THREADS caps enumeration workers; BELL_LAB_NO_NUMBA=1 forces the numpy backend.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, ("text", "json"), "text")
     p.add_argument("--samples", type=int, help="sample size for d beyond the exhaustive limit")
     p.add_argument("--seed", type=int, help="seed for --samples")
-    p.add_argument("--threads", type=int, help="worker threads (default BELL_LAB_THREADS or 1)")
     p.set_defaults(func=cmd_lhv)
 
     p = sub.add_parser("scan", help="per-dimension summary table")
@@ -471,6 +471,10 @@ def run(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return 2
 
 

@@ -33,4 +33,4 @@ class SingularAngleError(BellLabError, ValueError):
 
 
 class EnumerationSizeError(BellLabError, ValueError):
-    """Exhaustive strategy enumeration was requested beyond the supported size."""
+    """A strategy enumeration or sample was requested at an unsupported size."""

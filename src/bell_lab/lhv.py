@@ -3,17 +3,16 @@
 A deterministic strategy fixes one outcome per setting, (a1, a2, b1, b2).
 Plugging its point-mass table into the Bell expression gives an exact
 rational whose doubled numerator is an integer over d - 1, so the whole
-strategy space can be scanned in integer arithmetic.  The scan certifies the
+strategy space can be counted in integer arithmetic.  The count certifies the
 local bound: the maximum over all strategies is 2 for every d.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .core import (
 )
 from .errors import DimensionError, EnumerationSizeError, MappingError
 
-# d**4 strategies are scanned explicitly; past this the memory and time cost
-# calls for sampling instead.
+# largest d counted exhaustively; beyond it callers draw a seeded sample
 EXHAUSTIVE_LIMIT = 64
 
 # indexed by _accel.CASE_CODE; already in the sorted order that reports use
@@ -156,17 +154,6 @@ def strategy_to_table(s, d) -> JointProbabilityTable:
     return JointProbabilityTable.from_fractions(counts)
 
 
-def worker_count(threads=None) -> int:
-    """Number of enumeration workers; BELL_LAB_THREADS caps it, default 1."""
-    if threads is None:
-        raw = os.environ.get("BELL_LAB_THREADS", "1").strip()
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"BELL_LAB_THREADS must be an integer, got {raw!r}")
-    return max(1, min(int(threads), os.cpu_count() or 1))
-
-
 @dataclass(frozen=True)
 class EnumerationSummary:
     """Result of scanning deterministic strategies for one dimension."""
@@ -176,14 +163,19 @@ class EnumerationSummary:
     method: str
     max_value: Fraction
     histogram: dict
-    argmax: np.ndarray
     case_counts: dict
     n_strategies: int
+    argmax_count: int
+    argmax_rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
     seed: int | None = None
 
-    @property
-    def argmax_count(self) -> int:
-        return len(self.argmax)
+    @cached_property
+    def argmax(self) -> np.ndarray:
+        """Maximizing strategies as int16 (a1, a2, b1, b2) rows in lexicographic order.
+
+        Decoded on first read: at d = 64 there are about three million rows.
+        """
+        return self.argmax_rows()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -204,52 +196,54 @@ class EnumerationSummary:
         return out
 
 
-def _decode_strategies(idx: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((idx.size, 4), dtype=np.int16)
-    rest = idx.astype(np.int64)
-    for col in (3, 2, 1, 0):
-        out[:, col] = rest % d
-        rest //= d
-    return out
-
-
-def _summarize(d, mapping, nums, cases, strategies, method, seed=None) -> EnumerationSummary:
+def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax_rows, seed=None):
+    # values[k] counts numerators k - 2(d-1); cases[c] counts case code c
     offset = 2 * (d - 1)
-    counts = np.bincount(nums.astype(np.int64) + offset, minlength=4 * d - 3)
     histogram = {
-        Fraction(2 * (v - offset), d - 1): int(c)
-        for v, c in sorted(enumerate(counts), key=lambda vc: -vc[0])
+        Fraction(2 * (k - offset), d - 1): int(c)
+        for k, c in reversed(list(enumerate(values)))
         if c
     }
-    best = int(nums.max())
-    max_value = Fraction(2 * best, d - 1)
-    hit = nums == best
-    if strategies is None:
-        argmax = _decode_strategies(np.flatnonzero(hit), d)
-    else:
-        argmax = np.unique(strategies[hit], axis=0).astype(np.int16)
-    case_hist = np.bincount(cases.astype(np.int64), minlength=7)
-    case_counts = {label: int(case_hist[code]) for code, label in enumerate(CASE_LABELS)}
     return EnumerationSummary(
         d=d,
         mapping=mapping.name,
         method=method,
-        max_value=max_value,
+        max_value=next(iter(histogram)),
         histogram=histogram,
-        argmax=argmax,
-        case_counts=case_counts,
-        n_strategies=len(nums),
+        case_counts={label: int(cases[code]) for code, label in enumerate(CASE_LABELS)},
+        n_strategies=int(values.sum()),
+        argmax_count=argmax_count,
+        argmax_rows=argmax_rows,
         seed=seed,
     )
 
 
-def enumerate_strategies(d, mapping: OutcomeMapping | None = None, threads=None) -> EnumerationSummary:
-    """Scan all d**4 deterministic strategies and report exact Bell statistics.
+def _summarize(d, mapping, nums, cases, strategies, method, seed=None) -> EnumerationSummary:
+    """Summary of explicit strategies: their numerators, case codes and (n, 4) outcome rows."""
+    values = np.bincount(nums.astype(np.int64) + 2 * (d - 1), minlength=4 * d - 3)
+    argmax = np.unique(strategies[nums == nums.max()], axis=0).astype(np.int16)
+    case_hist = np.bincount(cases.astype(np.int64), minlength=len(CASE_LABELS))
+    return _summary_from_counts(d, mapping, method, values, case_hist, len(argmax), lambda: argmax, seed)
+
+
+def _checked_mapping(d, mapping: OutcomeMapping | None) -> OutcomeMapping:
+    if mapping is None:
+        return OutcomeMapping.sum_mapping(d)
+    if mapping.d != d:
+        raise MappingError(f"mapping is for d={mapping.d}, requested d={d}")
+    return mapping
+
+
+def enumerate_strategies(d, mapping: OutcomeMapping | None = None) -> EnumerationSummary:
+    """Exact Bell statistics over all d**4 deterministic strategies.
 
     With ``mapping`` the Bell expression is assembled from mapped spin
     correlations instead of raw outcome sums; the default is the outcome-sum
     mapping, which reproduces ``bell_expression`` on each point-mass table.
-    Strategies are ordered lexicographically in (a1, a2, b1, b2).
+    The strategies are counted, not listed: ``_accel.count_strategies``
+    separates each value into a part in b1 and a part in b2, which takes
+    O(d**3).  The ``argmax`` rows, ordered lexicographically in
+    (a1, a2, b1, b2), are decoded only when read.
     """
     d = check_dimension(d)
     if d > EXHAUSTIVE_LIMIT:
@@ -258,28 +252,10 @@ def enumerate_strategies(d, mapping: OutcomeMapping | None = None, threads=None)
             f"({EXHAUSTIVE_LIMIT ** 4} strategies); for larger d draw a seeded "
             f"sample with sample_strategies"
         )
-    if mapping is None:
-        mapping = OutcomeMapping.sum_mapping(d)
-    elif mapping.d != d:
-        raise MappingError(f"mapping is for d={mapping.d}, requested d={d}")
-    total = d ** 4
-    nums = np.empty(total, dtype=np.int16)
-    cases = np.empty(total, dtype=np.int8)
-    g = mapping.table
-    workers = worker_count(threads)
-    if workers == 1:
-        _accel.fill_strategy_arrays(d, g, nums, cases, 0, d)
-    else:
-        bounds = np.linspace(0, d, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_accel.fill_strategy_arrays, d, g, nums, cases, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for job in jobs:
-                job.result()
-    return _summarize(d, mapping, nums, cases, None, method="exhaustive")
+    mapping = _checked_mapping(d, mapping)
+    values, cases, argmax_rows = _accel.count_strategies(mapping.table)
+    argmax_count = int(values[np.flatnonzero(values)[-1]])
+    return _summary_from_counts(d, mapping, "exhaustive", values, cases, argmax_count, argmax_rows)
 
 
 def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | None = None) -> EnumerationSummary:
@@ -287,18 +263,9 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     d = check_dimension(d)
     n_samples = int(n_samples)
     if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    if mapping is None:
-        mapping = OutcomeMapping.sum_mapping(d)
-    elif mapping.d != d:
-        raise MappingError(f"mapping is for d={mapping.d}, requested d={d}")
+        raise EnumerationSizeError(f"need at least one sample, got {n_samples}")
+    mapping = _checked_mapping(d, mapping)
     rng = np.random.default_rng(seed)
     strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)
-    a1, a2, b1, b2 = strategies.T
-    g = mapping.table.astype(np.int64)
-    gneg = (d - g) % d
-    nums = ((d - 1) + g[a2, b1] - g[a1, b1] - g[a2, b2] - gneg[a1, b2]).astype(np.int16)
-    n1 = ((a1 + b1) >= d).astype(np.int8) + ((a2 + b2) >= d).astype(np.int8)
-    n2 = ((a1 + b2) >= d).astype(np.int8) + ((a2 + b1) >= d).astype(np.int8)
-    cases = _accel.CASE_CODE[n1, n2]
-    return _summarize(d, mapping, nums, cases, strategies, method="sampled", seed=int(seed))
+    nums, cases = _accel.strategy_values(mapping.table, *strategies.T)
+    return _summarize(d, mapping, nums.astype(np.int16), cases, strategies, "sampled", int(seed))

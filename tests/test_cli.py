@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bell_lab
-from bell_lab import cli
+from bell_lab import cli, lhv
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +133,31 @@ class TestLhvCommand:
         assert obj["method"] == "sampled"
         assert obj["seed"] == 4
         assert obj["n_strategies"] == 200
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one(self, capsys, samples):
+        code, out, err = run_cli(capsys, "lhv", "--d", "5", "--samples", samples, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: need at least one sample") and err.count("\n") == 1
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB")
+
+        # a small d: the real large-d vector would allocate what it guards against
+        monkeypatch.setattr(lhv, "sample_strategies", exhausted)
+        code, out, err = run_cli(capsys, "lhv", "--d", "5", "--samples", "10", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 2.98 GiB\n"
+
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "lhv", "--d", "4", "--threads", "2")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
     def test_sampled_determinism(self, capsys):
         args = ("lhv", "--d", "40", "--samples", "300", "--seed", "8", "--format", "json")

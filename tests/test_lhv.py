@@ -178,11 +178,6 @@ class TestEnumeration:
         g = bl.OutcomeMapping.difference_mapping(4)
         assert bl.enumerate_strategies(4, g).histogram == bl.enumerate_strategies(4).histogram
 
-    def test_threads_do_not_change_result(self):
-        base = bl.enumerate_strategies(5)
-        threaded = bl.enumerate_strategies(5, threads=3)
-        assert threaded.to_json_dict() == base.to_json_dict()
-
     def test_size_guard(self):
         with pytest.raises(EnumerationSizeError):
             bl.enumerate_strategies(65)
@@ -218,21 +213,54 @@ class TestSampling:
         assert set(summary.histogram) == {F(2), F(-1), F(-4)}
 
 
+def reference_summary(d, mapping):
+    """The d**4 reference: every strategy written out, then summarised."""
+    nums = np.empty(d**4, np.int16)
+    cases = np.empty(d**4, np.int8)
+    _accel.fill_strategy_arrays(d, mapping.table, nums, cases, 0, d)
+    strategies = np.stack(np.unravel_index(np.arange(d**4), (d,) * 4), axis=1)
+    return lhv._summarize(d, mapping, nums, cases, strategies, "exhaustive")
+
+
+def assert_same_summary(fast, ref):
+    # the JSON holds max, histogram, case counts and argmax count; the
+    # histogram's key order is part of the report too
+    assert fast.to_json_dict() == ref.to_json_dict()
+    assert list(fast.histogram) == list(ref.histogram)
+    assert fast.argmax.dtype == ref.argmax.dtype
+    assert np.array_equal(fast.argmax, ref.argmax)
+
+
 class TestBackends:
-    def test_numpy_and_loop_backends_agree(self):
-        for d in (2, 3, 5, 6):
-            g = np.add.outer(np.arange(d), np.arange(d)) % d
-            gneg = (d - g) % d
-            reach = (np.add.outer(np.arange(d), np.arange(d)) >= d).astype(np.int8)
-            size = d**4
-            num_a = np.empty(size, np.int16)
-            case_a = np.empty(size, np.int8)
-            num_b = np.empty(size, np.int16)
-            case_b = np.empty(size, np.int8)
-            _accel._fill_numpy(d, g, gneg, reach, _accel.CASE_CODE, num_a, case_a, 0, d)
-            _accel._fill_loops(d, g, gneg, reach, _accel.CASE_CODE, num_b, case_b, 0, d)
-            assert np.array_equal(num_a, num_b)
-            assert np.array_equal(case_a, case_b)
+    """The O(d**3) separable count against the d**4 reference fill."""
+
+    @pytest.mark.parametrize("name", ["sum_mapping", "difference_mapping"])
+    def test_separable_count_matches_reference(self, name):
+        for d in range(2, 25):
+            mapping = getattr(bl.OutcomeMapping, name)(d)
+            assert_same_summary(bl.enumerate_strategies(d, mapping), reference_summary(d, mapping))
+
+    @given(st.integers(2, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_separable_count_matches_reference_on_latin_squares(self, d, data):
+        # row, column and symbol permutations of the cyclic square
+        rows, cols, symbols = (np.array(data.draw(st.permutations(range(d)))) for _ in range(3))
+        cyclic = np.add.outer(np.arange(d), np.arange(d)) % d
+        mapping = bl.OutcomeMapping(d, symbols[cyclic[rows][:, cols]], "latin")
+        assert_same_summary(bl.enumerate_strategies(d, mapping), reference_summary(d, mapping))
+
+    def test_argmax_rows_are_decoded_on_first_read(self):
+        summary = bl.enumerate_strategies(6)
+        assert "argmax" not in vars(summary)
+        rows = summary.argmax
+        assert summary.argmax is rows
+        assert len(rows) == summary.argmax_count
+
+    def test_accel_keeps_the_names_perfbench_reads(self):
+        # perfbench's environment probe and tracer look these up by name
+        assert _accel.HAS_NUMBA is False
+        assert _accel.USING_NUMBA is False
+        assert callable(_accel.fill_strategy_arrays)
 
     def test_dispatcher_matches_direct_values(self):
         d = 4
@@ -243,6 +271,7 @@ class TestBackends:
         for idx, s in enumerate(all_strategies(d)):
             expect = bl.strategy_bell_value(s, d).exact
             assert F(2 * int(num[idx]), d - 1) == expect
+            assert lhv.CASE_LABELS[case[idx]] == bl.classify_strategy(s, d)
 
 
 class TestStrategyReport:
@@ -255,21 +284,3 @@ class TestStrategyReport:
 
     def test_degenerate_flag_for_two_outcomes(self):
         assert lhv.StrategyReport.build((0, 1, 0, 1), 2).degenerate
-
-
-class TestWorkerCount:
-    def test_explicit_argument_wins(self):
-        assert lhv.worker_count(3) >= 1
-
-    def test_env_default(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("BELL_LAB_THREADS", raising=False)
-        assert lhv.worker_count() == 1
-        monkeypatch.setenv("BELL_LAB_THREADS", "2")
-        assert lhv.worker_count() == min(2, os.cpu_count() or 1)
-        monkeypatch.setenv("BELL_LAB_THREADS", "0")
-        assert lhv.worker_count() == 1
-        monkeypatch.setenv("BELL_LAB_THREADS", "soup")
-        with pytest.raises(ValueError):
-            lhv.worker_count()
