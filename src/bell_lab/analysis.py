@@ -34,12 +34,14 @@ def noisy_table(d, visibility: float, settings: MeasurementSettings | None = Non
     expression is linear in the visibility because the uniform part has zero
     correlation.
     """
-    d = check_dimension(d)
+    return _mix_with_noise(born_table(d, settings), visibility)
+
+
+def _mix_with_noise(quantum: JointProbabilityTable, visibility: float) -> JointProbabilityTable:
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    quantum = born_table(d, settings)
-    p = v * quantum.p + (1.0 - v) / d ** 2
+    p = v * quantum.p + (1.0 - v) / quantum.d ** 2
     return JointProbabilityTable.from_array(p)
 
 
@@ -51,9 +53,10 @@ def noise_threshold(d) -> float:
 def noise_threshold_bisect(d, tol: float = 1e-10, settings: MeasurementSettings | None = None) -> float:
     """Threshold located by bisection on the evaluated noisy table."""
     d = check_dimension(d)
+    quantum = born_table(d, settings)
 
     def margin(v: float) -> float:
-        return bell_expression(noisy_table(d, v, settings)).approx - 2.0
+        return bell_expression(_mix_with_noise(quantum, v)).approx - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
@@ -97,8 +100,16 @@ def optimize_phases(
     d = check_dimension(d)
     start = start or CANONICAL_PHASES
 
+    # coordinate moves often return to phases already evaluated (a -width
+    # candidate right after an accepted +width move), so each distinct phase
+    # tuple is built and evaluated once
+    values: dict[tuple, float] = {}
+
     def value_at(phases) -> float:
-        return bell_expression(born_table(d, MeasurementSettings(*phases))).approx
+        key = tuple(phases)
+        if key not in values:
+            values[key] = bell_expression(born_table(d, MeasurementSettings(*key))).approx
+        return values[key]
 
     x = list(start.as_tuple())
     best = value_at(x)
@@ -178,7 +189,7 @@ def scan_dimensions(d_max, lhv_limit: int = SCAN_LHV_LIMIT) -> ScanResult:
                 q_correlation=canonical_correlation(d),
                 bell_quantum=quantum_bell_value(d),
                 p_threshold=noise_threshold(d),
-                cglmp_value=cglmp_crosscheck(d)["cglmp_value"],
+                cglmp_value=cglmp_expression(born_table(d).conjugate_second_party()),
                 lhv_max=lhv_max,
             )
         )

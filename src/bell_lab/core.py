@@ -486,11 +486,20 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
     return BellValue(total / s)
 
 
-def difference_probability(t: JointProbabilityTable, i: int, j: int, c: int) -> float:
-    """P(first outcome minus second outcome is congruent to c mod d)."""
+def difference_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:
+    """Distribution of the outcome difference: entry c is P(m - n congruent to c mod d).
+
+    One gather of the d diagonals; row c sums p[m, (m - c) mod d] over m in
+    the same order as a per-c loop would.
+    """
     p = t.subtable(i, j)
     rows = np.arange(t.d)
-    return float(p[rows, (rows - c) % t.d].sum())
+    return p[rows[None, :], (rows[None, :] - rows[:, None]) % t.d].sum(axis=1)
+
+
+def difference_probability(t: JointProbabilityTable, i: int, j: int, c: int) -> float:
+    """P(first outcome minus second outcome is congruent to c mod d)."""
+    return float(difference_distribution(t, i, j)[c % t.d])
 
 
 def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
@@ -506,13 +515,11 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
     _check_pair_normalization(t.subtable(i, j), i, j)
     d = t.d
     e = sign(i - j)
+    diff = difference_distribution(t, i, j).tolist()
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1)
-        total += coeff * (
-            difference_probability(t, i, j, k * e)
-            - difference_probability(t, i, j, (-k - 1) * e)
-        )
+        total += coeff * (diff[(k * e) % d] - diff[((-k - 1) * e) % d])
     return total
 
 

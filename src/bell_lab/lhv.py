@@ -268,4 +268,4 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     rng = np.random.default_rng(seed)
     strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)
     nums, cases = _accel.strategy_values(mapping.table, *strategies.T)
-    return _summarize(d, mapping, nums.astype(np.int16), cases, strategies, "sampled", int(seed))
+    return _summarize(d, mapping, nums, cases, strategies, "sampled", int(seed))

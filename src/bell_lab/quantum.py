@@ -72,15 +72,27 @@ def measurement_basis(d, phase: float) -> np.ndarray:
 
 
 def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
-    """Joint outcome probabilities via inner products with the entangled state."""
+    """Joint outcome probabilities via inner products with the entangled state.
+
+    Entry (m, n) of pair (i, j) is |<a_i^m, b_j^n | psi>|^2, computed as the
+    matrix product of the two conjugated bases divided by sqrt(d).  Each
+    party's conjugated basis is built once per setting and shared by the two
+    pairs that use it, so a table takes four basis builds and four products.
+
+    This explicit construction is the only one: ``closed_form_table`` and the
+    spin-projection distribution are checked against it.  The entries depend
+    only on the outcome sum, so a length-d vector per pair would do, but it
+    rounds differently in the last bits and the CLI prints these entries to
+    17 significant digits, so its stdout would change.
+    """
     d = check_dimension(d)
     settings = settings or CANONICAL_PHASES
+    # conj(ua) for each first-party setting, conj(ub).T for each second-party one
+    ca = [np.conj(measurement_basis(d, a)) for a in (settings.alpha1, settings.alpha2)]
+    cbt = [np.conj(measurement_basis(d, b)).T for b in (settings.beta1, settings.beta2)]
     p = np.empty((2, 2, d, d))
     for i, j in SETTING_PAIRS:
-        alpha, beta = settings.phases(i, j)
-        ua = measurement_basis(d, alpha)
-        ub = measurement_basis(d, beta)
-        amp = np.conj(ua) @ np.conj(ub).T / np.sqrt(d)
+        amp = ca[i - 1] @ cbt[j - 1] / np.sqrt(d)
         p[i - 1, j - 1] = np.abs(amp) ** 2
     return JointProbabilityTable.from_array(p)
 

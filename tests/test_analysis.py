@@ -75,6 +75,44 @@ class TestNoise:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+@pytest.fixture
+def born_builds(monkeypatch):
+    """Record the (d, phases) of every born_table call made through analysis."""
+    builds = []
+    real = analysis.born_table
+
+    def counting(d, settings=None):
+        builds.append((d, (settings or bl.CANONICAL_PHASES).as_tuple()))
+        return real(d, settings)
+
+    monkeypatch.setattr(analysis, "born_table", counting)
+    return builds
+
+
+class TestWorkCounts:
+    def test_bisection_builds_one_table(self, born_builds):
+        threshold = bl.noise_threshold_bisect(12)
+        assert born_builds == [(12, bl.CANONICAL_PHASES.as_tuple())]
+        assert abs(threshold - bl.noise_threshold(12)) < 1e-10
+
+    def test_optimizer_builds_each_phase_tuple_once(self, born_builds):
+        start = bl.random_settings(np.random.default_rng(1))
+        result = bl.optimize_phases(64, start)
+        assert result.evaluations == 257
+        assert len(born_builds) == len(set(born_builds))
+        # moves back to an already evaluated setting are not rebuilt
+        assert len(born_builds) < result.evaluations
+
+    def test_scan_builds_one_table_per_dimension(self, born_builds, monkeypatch):
+        kernel_values = []
+        real = analysis.bell_expression
+        monkeypatch.setattr(analysis, "bell_expression", lambda t: kernel_values.append(t) or real(t))
+        bl.scan_dimensions(12)
+        assert sorted(d for d, _ in born_builds) == list(range(2, 13))
+        # the CGLMP column needs no kernel Bell value
+        assert kernel_values == []
+
+
 class TestCglmpCrosscheck:
     def test_delta_small(self):
         for d in range(2, 9):

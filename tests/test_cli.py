@@ -1,5 +1,6 @@
 """Command line interface tests (run in-process through cli.run)."""
 
+import hashlib
 import json
 import math
 import os
@@ -280,3 +281,27 @@ class TestModuleEntryPoints:
         )
         assert (child.returncode, child.stdout) == (code, out)
         assert out
+
+
+class TestGoldenStdout:
+    """Stdout bytes of fast vectors, pinned by digest.
+
+    The digests were recorded before the Born-table and CGLMP rewrites that
+    promise bit-identical floats, so any drift in the last printed digit
+    fails here.
+    """
+
+    GOLDEN = {
+        "check --d 5": "f23b98d4648f4d2a814c1dc9173c20d0d1d03371854391b3e7792807308c9199",
+        "cglmp --d 37": "318e29db0c448e345397c7c60745b78048ea9e5302bf4d17981c52ffc2972d8d",
+        "noise --d 7": "72018c2035b05801d08dd87e5d57e6f23a09ab622714c98b9d07e44a6664d2b0",
+        "optimize --d 8 --seed 3": "35cab470cad4aa1ea2c526a1718a2d2cedff3f14fcc8dc029d7644155543a9bf",
+        "scan --dmax 40 --format json": "95a46eb8c9161b1418a5dea82953614d9bc7ac141f0ca9266954c4a6de7339f3",
+        "quantum --d 7 --phases 0.1,0.2,0.3,0.4": "fda4ff0a0eeb34ba8f9f4bf980d144dc2414ee8a19f1c7f2ba60a458f55e245b",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN))
+    def test_stdout_digest(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv]

@@ -397,6 +397,36 @@ class TestCglmpPieces:
             manual = sum(t.p[0, 0, m, (m - c) % d] for m in range(d))
             assert abs(bl.difference_probability(t, 1, 1, c) - manual) < 1e-14
 
+    def test_difference_distribution_is_the_per_c_loop(self, rng):
+        # the gather must sum each diagonal in the same order as the loop, bit for bit
+        for d in list(range(2, 20)) + [31, 64]:
+            t = random_table(d, rng)
+            rows = np.arange(d)
+            for i, j in core.SETTING_PAIRS:
+                p = t.subtable(i, j)
+                loop = [float(p[rows, (rows - c) % d].sum()) for c in range(d)]
+                assert bl.difference_distribution(t, i, j).tolist() == loop
+                for c in range(-d, 2 * d):
+                    assert bl.difference_probability(t, i, j, c) == loop[c % d]
+
+    def test_cglmp_correlation_is_the_per_c_loop(self, rng):
+        def loop_correlation(t, i, j):
+            p, d, e = t.subtable(i, j), t.d, bl.sign(i - j)
+            rows = np.arange(d)
+
+            def prob(c):
+                return float(p[rows, (rows - c) % d].sum())
+
+            total = 0.0
+            for k in range(d // 2):
+                total += (1.0 - 2.0 * k / (d - 1)) * (prob(k * e) - prob((-k - 1) * e))
+            return total
+
+        for d in list(range(2, 20)) + [31, 64]:
+            t = random_table(d, rng)
+            for i, j in core.SETTING_PAIRS:
+                assert bl.cglmp_correlation(t, i, j) == loop_correlation(t, i, j)
+
     def test_cglmp_d2_collapses_to_chsh_correlation(self, rng):
         t = random_table(2, rng)
         for i, j in core.SETTING_PAIRS:

@@ -5,6 +5,7 @@ independent exact-arithmetic enumerator before this module was written.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,24 @@ class TestSampling:
     def test_small_d_sampling_matches_support(self):
         summary = bl.sample_strategies(3, 4000, seed=1)
         assert set(summary.histogram) == {F(2), F(-1), F(-4)}
+
+    def test_extreme_numerators_do_not_wrap(self, monkeypatch):
+        # numerators run from -2(d-1) to d-1; at d = 16386 the lower end is
+        # -32770, below int16.  The mapping and the strategy formula are
+        # stubbed so that nothing d x d is allocated.
+        d = 16386
+        low, high = -2 * (d - 1), d - 1
+        monkeypatch.setattr(
+            lhv, "_checked_mapping", lambda d, mapping: SimpleNamespace(name="sum", d=d, table=None)
+        )
+        monkeypatch.setattr(
+            _accel,
+            "strategy_values",
+            lambda g, a1, a2, b1, b2: (np.resize([low, high, 0], len(a1)), np.zeros(len(a1), np.int8)),
+        )
+        summary = bl.sample_strategies(d, 6, seed=1)
+        assert summary.histogram == {F(2): 2, F(0): 2, F(-4): 2}
+        assert summary.max_value == 2
 
 
 def reference_summary(d, mapping):

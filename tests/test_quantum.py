@@ -92,6 +92,36 @@ class TestBornTable:
         assert np.abs(a.p - b.p).max() < 1e-13
 
 
+def per_pair_born(d, s):
+    """The construction born_table replaced: both bases rebuilt for every pair."""
+    p = np.empty((2, 2, d, d))
+    for i, j in core.SETTING_PAIRS:
+        alpha, beta = s.phases(i, j)
+        ua = bl.measurement_basis(d, alpha)
+        ub = bl.measurement_basis(d, beta)
+        amp = np.conj(ua) @ np.conj(ub).T / np.sqrt(d)
+        p[i - 1, j - 1] = np.abs(amp) ** 2
+    return p
+
+
+class TestBornTableBitIdentity:
+    """Sharing the bases across pairs must not move a single bit of the table."""
+
+    def test_canonical_and_random_settings(self, rng):
+        for d in range(2, 25):
+            for s in (bl.CANONICAL_PHASES, bl.random_settings(rng)):
+                assert np.array_equal(bl.born_table(d, s).p, per_pair_born(d, s))
+
+    @given(
+        st.integers(2, 24),
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_settings(self, d, phases):
+        s = bl.MeasurementSettings(*phases)
+        assert np.array_equal(bl.born_table(d, s).p, per_pair_born(d, s))
+
+
 class TestSymmetryAndSpin:
     def test_shift_symmetry_canonical(self):
         for d in range(2, 9):
