@@ -1,18 +1,20 @@
 """Exact counting of deterministic local strategies.
 
 A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2 = (d-1) + X[b1] + Y[b2],
-where, for its pair (a1, a2), X[b1] = g[a2,b1] - g[a1,b1] and
-Y[b2] = -g[a2,b2] - gneg[a1,b2] (g is the outcome mapping table, gneg holds
-(-g) mod d).  Its case code splits the same way, into a class of b1 and a
-class of b2.  ``count_strategies`` uses this separation to summarise all d**4
-strategies from per-pair histograms in O(d**3) time and memory.
-``fill_strategy_arrays`` writes every strategy out in O(d**4) and is kept as
-the reference the tests compare the count against.
+where, for its pair (a1, a2), X[b1] = g(a2,b1) - g(a1,b1) and
+Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
+(``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
+way, into a class of b1 and a class of b2.  ``count_strategies`` uses this
+separation to summarise all d**4 strategies from per-pair histograms in
+O(d**3) time and memory.  ``fill_strategy_arrays`` writes every strategy out
+in O(d**4) and is kept as the reference the tests compare the count against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import OutcomeMapping
 
 # numba is no longer used; the flags stay for tools that still report them
 HAS_NUMBA = False
@@ -35,27 +37,32 @@ _N1_PART, _N2_PART = np.divmod(np.arange(4), 2)
 CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)]
 
 
+def row_dtype(d):
+    """Integer dtype of (a1, a2, b1, b2) outcome rows: int16 while it holds 0..d-1."""
+    return np.int16 if d <= 1 << 15 else np.int64
+
+
 def _b1_part(g, a1, a2, b1):
     """X and the class of b1 for broadcastable outcome arrays."""
-    d = len(g)
-    return g[a2, b1] - g[a1, b1], 2 * (a1 + b1 >= d) + (a2 + b1 >= d)
+    d = g.d
+    return g(a2, b1) - g(a1, b1), 2 * (a1 + b1 >= d) + (a2 + b1 >= d)
 
 
 def _b2_part(g, a1, a2, b2):
     """Y and the class of b2 for broadcastable outcome arrays."""
-    d = len(g)
-    return -g[a2, b2] - (-g[a1, b2]) % d, 2 * (a2 + b2 >= d) + (a1 + b2 >= d)
+    d = g.d
+    return -g(a2, b2) - (-g(a1, b2)) % d, 2 * (a2 + b2 >= d) + (a1 + b2 >= d)
 
 
 def strategy_values(g, a1, a2, b1, b2):
     """Bell numerators (d-1)*I/2 and case codes of strategies.
 
     The four outcome arguments are integer arrays that broadcast together;
-    ``g`` is the int64 mapping table.
+    ``g`` is the ``OutcomeMapping``.
     """
     x, u = _b1_part(g, a1, a2, b1)
     y, v = _b2_part(g, a1, a2, b2)
-    return (len(g) - 1) + x + y, CLASS_CASE[u, v]
+    return (g.d - 1) + x + y, CLASS_CASE[u, v]
 
 
 def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
@@ -63,9 +70,10 @@ def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
 
     ``out_num[s]`` receives (d-1)*I(s)/2 for the strategy with lexicographic
     index s = ((a1*d + a2)*d + b1)*d + b2; ``out_case[s]`` receives the case
-    code of the sum structure (see CASE_CODE).
+    code of the sum structure (see CASE_CODE).  ``g`` is the d x d mapping
+    table, read by gathers.
     """
-    g = np.asarray(g, dtype=np.int64)
+    g = OutcomeMapping(d, g)
     a = np.arange(d)
     num, case = strategy_values(g, a[a1_lo:a1_hi, None, None, None], a[:, None, None], a[:, None], a)
     block = d * d * d
@@ -74,15 +82,14 @@ def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
 
 
 def count_strategies(g):
-    """Counts over all d**4 strategies of a mapping table, in O(d**3).
+    """Counts over all d**4 strategies of an ``OutcomeMapping``, in O(d**3).
 
     Returns ``(values, cases, argmax_rows)``: ``values[k]`` counts the
     strategies with Bell numerator k - 2(d-1), ``cases[c]`` those with case
-    code c, and ``argmax_rows()`` decodes the maximizing strategies as int16
-    (a1, a2, b1, b2) rows in lexicographic order.
+    code c, and ``argmax_rows()`` decodes the maximizing strategies as
+    (a1, a2, b1, b2) rows of ``row_dtype(d)`` in lexicographic order.
     """
-    g = np.asarray(g, dtype=np.int64)
-    d = len(g)
+    d = g.d
     a = np.arange(d)
     # axes (a1, a2, b): b is b1 for x and u, b2 for y and v
     x, u = _b1_part(g, a[:, None, None], a[:, None], a)
@@ -112,6 +119,6 @@ def count_strategies(g):
 
     def argmax_rows():
         k, b1, b2 = np.nonzero(x_ties[:, :, None] & y_ties[:, None, :])
-        return np.stack((a1s[k], a2s[k], b1, b2), axis=1).astype(np.int16)
+        return np.stack((a1s[k], a2s[k], b1, b2), axis=1).astype(row_dtype(d))
 
     return values, cases, argmax_rows

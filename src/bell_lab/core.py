@@ -137,21 +137,20 @@ class BellValue:
         return self.approx
 
 
-@dataclass(frozen=True)
 class OutcomeMapping:
     """A map g(a, b) of outcome pairs onto {0, ..., d-1}, bijective in each argument.
 
-    Stored as a d x d integer table with ``table[a, b] = g(a, b)``.  The
-    bijectivity requirement makes the table a Latin square.
+    The d x d integer table ``table[a, b] = g(a, b)`` is therefore a Latin
+    square.  A custom mapping is given by its table, which the constructor
+    checks.  The named mappings, ``sum_mapping`` (a + b) mod d and
+    ``difference_mapping`` (a - b) mod d, are Latin squares by construction:
+    they are evaluated by arithmetic and build their table only when
+    ``table`` is first read.
     """
 
-    d: int
-    table: np.ndarray
-    name: str = "custom"
-
-    def __post_init__(self):
-        d = check_dimension(self.d)
-        table = np.asarray(self.table, dtype=np.int64)
+    def __init__(self, d, table, name: str = "custom"):
+        d = check_dimension(d)
+        table = np.asarray(table, dtype=np.int64)
         if table.shape != (d, d):
             raise MappingError(f"mapping table must be {d}x{d}, got {table.shape}")
         expect = np.arange(d)
@@ -160,22 +159,40 @@ class OutcomeMapping:
         if not (np.sort(table, axis=0) == expect[:, None]).all():
             raise MappingError("mapping is not bijective in the first argument")
         table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        self.d, self.name, self._table, self._combine = d, name, table, None
 
-    def __call__(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    @classmethod
+    def _modular(cls, d, combine, name) -> "OutcomeMapping":
+        mapping = cls.__new__(cls)
+        mapping.d, mapping.name, mapping._table, mapping._combine = check_dimension(d), name, None, combine
+        return mapping
 
     @classmethod
     def sum_mapping(cls, d) -> "OutcomeMapping":
-        d = check_dimension(d)
-        a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        return cls(d, (a + b) % d, name="sum")
+        return cls._modular(d, np.add, "sum")
 
     @classmethod
     def difference_mapping(cls, d) -> "OutcomeMapping":
-        d = check_dimension(d)
-        a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        return cls(d, (a - b) % d, name="difference")
+        return cls._modular(d, np.subtract, "difference")
+
+    def __call__(self, a, b):
+        """g(a, b), elementwise over integers or integer arrays that broadcast together."""
+        if self._combine is None:
+            return self._table[a, b]
+        return self._combine(a, b) % self.d
+
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only int64 d x d table; a named mapping builds it on first read."""
+        if self._table is None:
+            a = np.arange(self.d)
+            table = self(a[:, None], a)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
+    def __repr__(self) -> str:
+        return f"OutcomeMapping(d={self.d}, name={self.name!r})"
 
 
 def _validate_float_table(p: np.ndarray, d: int, tol: float) -> np.ndarray:

@@ -171,7 +171,7 @@ class EnumerationSummary:
 
     @cached_property
     def argmax(self) -> np.ndarray:
-        """Maximizing strategies as int16 (a1, a2, b1, b2) rows in lexicographic order.
+        """Maximizing (a1, a2, b1, b2) rows in lexicographic order, as ``_accel.row_dtype(d)``.
 
         Decoded on first read: at d = 64 there are about three million rows.
         """
@@ -199,10 +199,11 @@ class EnumerationSummary:
 def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax_rows, seed=None):
     # values[k] counts numerators k - 2(d-1); cases[c] counts case code c
     offset = 2 * (d - 1)
+    # only the occupied bins become Python objects: a sample at large d
+    # occupies a few of the 4d - 3
     histogram = {
-        Fraction(2 * (k - offset), d - 1): int(c)
-        for k, c in reversed(list(enumerate(values)))
-        if c
+        Fraction(2 * (int(k) - offset), d - 1): int(values[k])
+        for k in np.flatnonzero(values)[::-1]
     }
     return EnumerationSummary(
         d=d,
@@ -220,9 +221,16 @@ def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax
 
 def _summarize(d, mapping, nums, cases, strategies, method, seed=None) -> EnumerationSummary:
     """Summary of explicit strategies: their numerators, case codes and (n, 4) outcome rows."""
-    values = np.bincount(nums.astype(np.int64) + 2 * (d - 1), minlength=4 * d - 3)
-    argmax = np.unique(strategies[nums == nums.max()], axis=0).astype(np.int16)
-    case_hist = np.bincount(cases.astype(np.int64), minlength=len(CASE_LABELS))
+    values = np.bincount(nums.astype(np.int64, copy=False) + 2 * (d - 1), minlength=4 * d - 3)
+    # the maximizing rows sorted lexicographically, each kept once (the rows
+    # of np.unique(axis=0)); the exact cast to the narrow row dtype first
+    # makes the sorts cheap
+    top = strategies[nums == nums.max()].astype(_accel.row_dtype(d))
+    top = top[np.lexsort(top.T[::-1])]
+    first = np.ones(len(top), dtype=bool)
+    first[1:] = (top[1:] != top[:-1]).any(axis=1)
+    argmax = top[first]
+    case_hist = np.bincount(cases, minlength=len(CASE_LABELS))
     return _summary_from_counts(d, mapping, method, values, case_hist, len(argmax), lambda: argmax, seed)
 
 
@@ -253,13 +261,21 @@ def enumerate_strategies(d, mapping: OutcomeMapping | None = None) -> Enumeratio
             f"sample with sample_strategies"
         )
     mapping = _checked_mapping(d, mapping)
-    values, cases, argmax_rows = _accel.count_strategies(mapping.table)
+    values, cases, argmax_rows = _accel.count_strategies(mapping)
     argmax_count = int(values[np.flatnonzero(values)[-1]])
     return _summary_from_counts(d, mapping, "exhaustive", values, cases, argmax_count, argmax_rows)
 
 
 def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | None = None) -> EnumerationSummary:
-    """Seeded uniform sample of deterministic strategies (for d beyond the scan limit)."""
+    """Seeded uniform sample of deterministic strategies (for d beyond the scan limit).
+
+    Draws ``n_samples`` strategies uniformly with replacement and summarises
+    them like ``enumerate_strategies``; ``argmax`` holds the distinct
+    maximizing rows drawn, as ``_accel.row_dtype(d)`` (int16 up to d = 32768).
+    The cost is O(n_samples) time and memory, plus a histogram of 4d - 3
+    counters: the mapping is evaluated elementwise, and the sum and
+    difference mappings are arithmetic that builds no d x d table.
+    """
     d = check_dimension(d)
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -267,5 +283,5 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     mapping = _checked_mapping(d, mapping)
     rng = np.random.default_rng(seed)
     strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)
-    nums, cases = _accel.strategy_values(mapping.table, *strategies.T)
+    nums, cases = _accel.strategy_values(mapping, *strategies.T)
     return _summarize(d, mapping, nums, cases, strategies, "sampled", int(seed))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -153,6 +154,19 @@ class TestLhvCommand:
         assert code == 2
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 2.98 GiB\n"
+
+    def test_large_d_sample_allocates_no_table(self, capsys):
+        # a d x d int64 mapping table at d = 20000 would take 3.2 GB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "lhv", "--d", "20000", "--samples", "10", "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert err == ""
+        assert "strategies = 10" in out
+        assert peak < 4 * 2**20
 
     def test_threads_option_is_gone(self, capsys):
         code, out, err = run_cli(capsys, "lhv", "--d", "4", "--threads", "2")

@@ -146,6 +146,37 @@ class TestOutcomeMapping:
         table = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
         g = bl.OutcomeMapping(3, table, "custom")
         assert g(2, 1) == 1
+        assert np.array_equal(g(np.array([0, 1, 2]), 0), [1, 0, 2])
+
+    @pytest.mark.parametrize("name, op", [("sum_mapping", np.add), ("difference_mapping", np.subtract)])
+    def test_named_table_is_built_on_first_read(self, name, op):
+        d = 9
+        g = getattr(bl.OutcomeMapping, name)(d)
+        assert not [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        table = g.table
+        a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        assert table.dtype == np.int64
+        assert np.array_equal(table, op(a, b) % d)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert g.table is table
+
+    @given(st.sampled_from([("sum_mapping", np.add), ("difference_mapping", np.subtract)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_named_evaluation_equals_table_gather(self, named, data):
+        name, op = named
+        d = data.draw(st.integers(2, 50))
+        a = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=20)))
+        b = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=len(a), max_size=len(a))))
+        g = getattr(bl.OutcomeMapping, name)(d)
+        rows, cols = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        full = op(rows, cols) % d
+        expect = full[a, b]
+        assert np.array_equal(g(a, b), expect)
+        assert np.array_equal(g(a[:, None], b), full[a[:, None], b])
+        assert g(int(a[0]), int(b[0])) == expect[0]
+        assert np.array_equal(g.table[a, b], expect)
 
 
 class TestJointProbabilityTable:

@@ -4,8 +4,8 @@ Histograms, case counts, and example values below were frozen from an
 independent exact-arithmetic enumerator before this module was written.
 """
 
+from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,13 +215,10 @@ class TestSampling:
 
     def test_extreme_numerators_do_not_wrap(self, monkeypatch):
         # numerators run from -2(d-1) to d-1; at d = 16386 the lower end is
-        # -32770, below int16.  The mapping and the strategy formula are
-        # stubbed so that nothing d x d is allocated.
+        # -32770, below int16.  The strategy formula is stubbed to return
+        # both ends.
         d = 16386
         low, high = -2 * (d - 1), d - 1
-        monkeypatch.setattr(
-            lhv, "_checked_mapping", lambda d, mapping: SimpleNamespace(name="sum", d=d, table=None)
-        )
         monkeypatch.setattr(
             _accel,
             "strategy_values",
@@ -230,6 +227,78 @@ class TestSampling:
         summary = bl.sample_strategies(d, 6, seed=1)
         assert summary.histogram == {F(2): 2, F(0): 2, F(-4): 2}
         assert summary.max_value == 2
+
+    def test_rows_beyond_int16_stay_in_range(self):
+        # int16 holds outcomes only up to d = 32768; nothing d x d is built
+        d = 40000
+        summary = bl.sample_strategies(d, 3000, seed=1)
+        rows = summary.argmax
+        assert rows.dtype == np.int64
+        assert len(rows) == summary.argmax_count > 0
+        assert rows.min() >= 0 and rows.max() < d
+        for row in rows:
+            assert bl.strategy_bell_value(row, d).exact == summary.max_value == 2
+
+
+# (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
+# counts which of a1+b2, a2+b1 do; frozen from classify_strategy
+ORACLE_CASES = {
+    (0, 0): "Case1i",
+    (0, 1): "Case1ii",
+    (1, 0): "Case2i",
+    (1, 1): "Case2ii",
+    (1, 2): "Case2iii",
+    (2, 2): "Case3i",
+    (2, 1): "Case3ii",
+}
+
+
+def sampled_oracle(d, mapping, n_samples, seed):
+    """A sampled summary from mapping.table gathers and np.unique rows."""
+    g = mapping.table
+    draw = np.random.default_rng(seed).integers(0, d, size=(n_samples, 4), dtype=np.int64)
+    a1, a2, b1, b2 = draw.T
+    nums = (d - 1) + g[a2, b1] - g[a1, b1] - g[a2, b2] - (-g[a1, b2]) % d
+    n1 = (a1 + b1 >= d).astype(int) + (a2 + b2 >= d)
+    n2 = (a1 + b2 >= d).astype(int) + (a2 + b1 >= d)
+    labels = Counter(ORACLE_CASES[pair] for pair in zip(n1.tolist(), n2.tolist()))
+    counts = Counter(nums.tolist())
+    rows = np.unique(draw[nums == nums.max()], axis=0).astype(np.int16)
+    return lhv.EnumerationSummary(
+        d=d,
+        mapping=mapping.name,
+        method="sampled",
+        max_value=F(2 * max(counts), d - 1),
+        histogram={F(2 * k, d - 1): counts[k] for k in sorted(counts, reverse=True)},
+        case_counts={label: labels[label] for label in sorted(ORACLE_CASES.values())},
+        n_strategies=n_samples,
+        argmax_count=len(rows),
+        argmax_rows=lambda: rows,
+        seed=seed,
+    )
+
+
+def random_latin_square(d, rng):
+    # row, column and symbol permutations of the cyclic square
+    rows, cols, symbols = (rng.permutation(d) for _ in range(3))
+    return symbols[np.add.outer(rows, cols) % d]
+
+
+class TestSampledOracle:
+    """sample_strategies against table gathers and np.unique(axis=0)."""
+
+    @pytest.mark.parametrize("kind", ["sum", "difference", "latin"])
+    def test_matches_gather_and_unique(self, kind):
+        rng = np.random.default_rng(5)
+        for d in range(2, 41):
+            if kind == "latin":
+                mapping = bl.OutcomeMapping(d, random_latin_square(d, rng), "latin")
+            else:
+                mapping = getattr(bl.OutcomeMapping, f"{kind}_mapping")(d)
+            for seed in (1, 2, 7):
+                assert_same_summary(
+                    bl.sample_strategies(d, 400, seed, mapping), sampled_oracle(d, mapping, 400, seed)
+                )
 
 
 def reference_summary(d, mapping):
