@@ -1,12 +1,12 @@
 """Command line interface.
 
 Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  ``lhv``
-counts all d**4 local strategies exactly (one O(d**3) algorithm, up to
-d = 64) or, with --samples and --seed, summarises a seeded sample.  Reports are
-deterministic for a fixed argument vector: floats are printed with 10
-significant digits, exact rationals as "p/q", and every JSON report carries a
-schema_version field.  Exit codes: 0 success, 1 failed checks, 2 usage or
-input errors, including a request that runs out of memory.
+counts all d**4 local strategies exactly (one algorithm, O(d**3) in memory and
+O(d**4) in time, up to d = 64) or, with --samples and --seed, summarises a
+seeded sample.  Reports are deterministic for a fixed argument vector: floats
+are printed with 10 significant digits, exact rationals as "p/q", and every
+JSON report carries a schema_version field.  Exit codes: 0 success, 1 failed
+checks, 2 usage or input errors, including a request that runs out of memory.
 """
 
 from __future__ import annotations
@@ -29,8 +29,73 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _json_key(key) -> str:
+    # json.dumps turns int, float, bool and None keys into their JSON text
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _json_pieces(obj, indent: str = ""):
+    """Yield the text of ``json.dumps(obj, indent=2)`` in pieces.
+
+    ``indent`` is the indentation of the line that ``obj`` starts on.  A
+    non-empty list of finite floats is one piece, the ``float.__repr__`` of its
+    items joined by the list's separator; json prints every float instance
+    with that repr, so the bytes are the same.  Scalars and keys go through
+    ``json.dumps`` itself, which keeps its escapes, ``NaN``/``Infinity`` and
+    key conversions.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = indent + "  "
+        comma = ",\n" + inner
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            yield sep + _json_key(key) + ": "
+            yield from _json_pieces(value, inner)
+            sep = comma
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        comma = ",\n" + inner
+        try:
+            row = comma.join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            row = None
+        # repr spells every non-finite float with an "n" (nan, inf), json does not
+        if row is not None and "n" not in row:
+            yield "[\n" + inner + row + "\n" + indent + "]"
+            return
+        sep = "[\n" + inner
+        for value in obj:
+            yield sep
+            yield from _json_pieces(value, inner)
+            sep = comma
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout, piece by piece.
+
+    The pure-Python encoder that ``indent`` selects builds the whole text from
+    about two chunks per float, then copies it; the pieces here are whole rows.
+    """
+    write = sys.stdout.write
+    for piece in _json_pieces(obj):
+        write(piece)
+    write("\n")
 
 
 def _parse_phases(text: str) -> quantum.MeasurementSettings:

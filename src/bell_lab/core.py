@@ -339,7 +339,7 @@ class JointProbabilityTable:
         return {
             "d": self.d,
             "tables": {
-                key: [[float(x) for x in row] for row in self.p[si, sj]]
+                key: self.p[si, sj].tolist()
                 for (si, sj), key in zip(((0, 0), (0, 1), (1, 0), (1, 1)), PAIR_KEYS)
             },
         }
@@ -385,11 +385,16 @@ def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityT
 
 def load_table(path, tol: float = FILE_TOL) -> JointProbabilityTable:
     """Read a probability table from a JSON file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise TableFormatError(f"{path}: JSON nested too deeply to read") from exc
     return JointProbabilityTable.from_json_dict(obj, tol=tol)
 
 

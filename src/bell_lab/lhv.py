@@ -3,8 +3,10 @@
 A deterministic strategy fixes one outcome per setting, (a1, a2, b1, b2).
 Plugging its point-mass table into the Bell expression gives an exact
 rational whose doubled numerator is an integer over d - 1, so the whole
-strategy space can be counted in integer arithmetic.  The count certifies the
-local bound: the maximum over all strategies is 2 for every d.
+strategy space can be counted in integer arithmetic.  For the sum and
+difference mappings the count certifies the local bound: the maximum over all
+strategies is 2 at every d it covers.  Other Latin-square mappings can exceed
+it (a permuted 5 x 5 square reaches 3).
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def enumerate_strategies(d, mapping: OutcomeMapping | None = None) -> Enumeratio
     mapping, which reproduces ``bell_expression`` on each point-mass table.
     The strategies are counted, not listed: ``_accel.count_strategies``
     separates each value into a part in b1 and a part in b2, which takes
-    O(d**3).  The ``argmax`` rows, ordered lexicographically in
+    O(d**3) memory and O(d**4) time.  The ``argmax`` rows, ordered lexicographically in
     (a1, a2, b1, b2), are decoded only when read.
     """
     d = check_dimension(d)

@@ -82,8 +82,8 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     This explicit construction is the only one: ``closed_form_table`` and the
     spin-projection distribution are checked against it.  The entries depend
     only on the outcome sum, so a length-d vector per pair would do, but it
-    rounds differently in the last bits and the CLI prints these entries to
-    17 significant digits, so its stdout would change.
+    rounds differently in the last bits and the CLI prints these entries in
+    shortest round-trip ``repr``, so its stdout would change.
     """
     d = check_dimension(d)
     settings = settings or CANONICAL_PHASES

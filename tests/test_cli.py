@@ -9,6 +9,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bell_lab
 from bell_lab import cli, lhv
@@ -81,6 +83,22 @@ class TestQuantumCommand:
         path.write_text('{"d": 2, "tables": {}}')
         code, _, err = run_cli(capsys, "quantum", "--input-file", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\x7fELF\x02\x01\x01\x00\xd0\x8f\xff\xfe binary", "not UTF-8 text"),
+            (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        ],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    def test_unreadable_input_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "table.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
 
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "quantum", "--d", "4")
@@ -312,10 +330,79 @@ class TestGoldenStdout:
         "optimize --d 8 --seed 3": "35cab470cad4aa1ea2c526a1718a2d2cedff3f14fcc8dc029d7644155543a9bf",
         "scan --dmax 40 --format json": "95a46eb8c9161b1418a5dea82953614d9bc7ac141f0ca9266954c4a6de7339f3",
         "quantum --d 7 --phases 0.1,0.2,0.3,0.4": "fda4ff0a0eeb34ba8f9f4bf980d144dc2414ee8a19f1c7f2ba60a458f55e245b",
+        # every JSON-emitting command, as printed by json.dumps(report, indent=2)
+        "lhv --d 2 --format json": "a46156d5b8c40692b98bda462e2e8d249c9eb6804b6dddcb05dc6c291e6d1049",
+        "lhv --d 64 --mapping difference --format json": "783b7947a3605ec58907f78fcc41b52008630c02303343f433916a77d0058999",
+        "noise --d 7 --format json": "a052fc21d143528bcdeafc332d727e69c5fa3ef3d938d1757fa79701c8516ce2",
+        "cglmp --d 37 --format json": "62a4f19724a36b92dd952b6220d46a18ef5aa3579b1cf291a0c1a321ab1ae7ff",
+        "optimize --d 8 --seed 3 --format json": "4554464185ba5acdb257c3ed813d9f2ae708ed8861befde3b7e32cf1ce6010c3",
+        "quantum --d 64": "33c2e11e4e84393d6f58ef3313b1432da0657a0218728f5a01dfdb20d440543f",
+        "quantum --d 384": "9fbf48aec96052a8c4c5f248bb68b16455e7646e4d213c868d063c7202ffc8a4",
     }
+    # quantum --input-file on the written quantum --d 64 report, without its "source" line
+    READ_BACK_D64 = "17b197f686631bf8ba00dda1c14c00d99f1d8f82a4cd8102bf5afd24b7417d92"
 
     @pytest.mark.parametrize("argv", sorted(GOLDEN))
     def test_stdout_digest(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv]
+
+    def test_read_back_digest(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "quantum", "--d", "64")
+        assert code == 0
+        path = tmp_path / "table.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert code == 0
+        source = f'  "source": {json.dumps(str(path))},\n'
+        assert source in out
+        kept = out.replace(source, "")
+        assert hashlib.sha256(kept.encode()).hexdigest() == self.READ_BACK_D64
+
+
+json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7, 1e300])
+json_keys = st.text() | st.integers() | json_floats | st.booleans() | st.none()
+json_scalars = st.none() | st.booleans() | st.integers() | json_floats | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | st.lists(json_floats, min_size=1, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestJsonEmitter:
+    """The streaming emitter writes the bytes of json.dumps(obj, indent=2)."""
+
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_are_json_dumps(self, obj):
+        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {(1, 2): 0},
+            {"a": [1.0, {b"k": 1}]},
+            [0.5, object()],
+            {"x": 1j},
+        ],
+    )
+    def test_unserializable_values_raise_as_json_does(self, obj):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            "".join(cli._json_pieces(obj))
+        assert str(got.value) == str(expected.value)
+
+    def test_quantum_stdout_is_json_dumps_of_the_report(self, capsys, monkeypatch):
+        reports = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda obj: (reports.append(obj), emit(obj)))
+        for d in range(2, 25):
+            code, out, _ = run_cli(capsys, "quantum", "--d", str(d))
+            assert code == 0
+            assert out == json.dumps(reports[-1], indent=2) + "\n"

@@ -175,6 +175,16 @@ class TestEnumeration:
         assert summary.max_value <= 2
         assert summary.mapping == "custom"
 
+    def test_bound_two_is_not_general_for_latin_squares(self):
+        # the bound 2 is certified for the sum and difference mappings only:
+        # a permuted cyclic 5 x 5 square reaches 3
+        d = 5
+        r = np.random.default_rng(0)
+        base = np.add.outer(np.arange(d), np.arange(d)) % d
+        t = base[r.permutation(d)][:, r.permutation(d)]
+        t = r.permutation(d)[t]
+        assert bl.enumerate_strategies(d, bl.OutcomeMapping(d, t)).max_value == 3
+
     def test_difference_mapping_same_histogram(self):
         g = bl.OutcomeMapping.difference_mapping(4)
         assert bl.enumerate_strategies(4, g).histogram == bl.enumerate_strategies(4).histogram
