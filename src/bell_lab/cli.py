@@ -234,7 +234,7 @@ def cmd_noise(args) -> int:
 def cmd_optimize(args) -> int:
     d = core.check_dimension(args.d)
     if args.seed is not None:
-        start = analysis.random_settings(np.random.default_rng(args.seed))
+        start = analysis.random_settings(core.seeded_rng(args.seed))
     else:
         start = quantum.CANONICAL_PHASES
     result = analysis.optimize_phases(d, start, step=args.step, halvings=args.halvings)
@@ -403,16 +403,12 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
             if d <= 6
             else [tuple(row) for row in rng.integers(0, d, size=(200, 4))]
         )
-        cross_ok = all(
-            lhv.strategy_bell_value(s, d).exact
-            == core.bell_expression(lhv.strategy_to_table(s, d)).exact
-            for s in strategies
-        )
-        case_ok = all(
-            lhv.strategy_bell_value(s, d).exact
-            in lhv.case_value_set(lhv.classify_strategy(s, d), d)
-            for s in strategies
-        )
+        value_sets = {label: lhv.case_value_set(label, d) for label in lhv.CASE_LABELS}
+        cross_ok = case_ok = True
+        for s in strategies:
+            value = lhv.strategy_bell_value(s, d).exact
+            cross_ok &= value == core.bell_expression(lhv.strategy_to_table(s, d)).exact
+            case_ok &= value in value_sets[lhv.classify_strategy(s, d)]
         record(
             "lhv-cross-identity",
             cross_ok and case_ok,

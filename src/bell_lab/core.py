@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, MappingError, NormalizationError, TableFormatError
+from .errors import DimensionError, MappingError, NormalizationError, SeedError, TableFormatError
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_KEYS = ("11", "12", "21", "22")
@@ -47,6 +47,13 @@ def check_dimension(d) -> int:
     if d < 2:
         raise DimensionError(f"outcome count must be at least 2, got {d}")
     return d
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a non-negative integer seed."""
+    if not isinstance(seed, Integral) or seed < 0:
+        raise SeedError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _check_setting(i) -> int:
@@ -254,21 +261,31 @@ class JointProbabilityTable:
         """Build an exactly-represented table.
 
         ``tables`` is indexed [i-1][j-1][m][n] with rational entries (ints
-        included); each setting pair must sum to exactly 1.
+        included); each setting pair must sum to exactly 1.  An integer numpy
+        array is taken in one vectorised step: its entries become Python-int
+        numerators over the denominator 1.  Any other input (nested
+        sequences, object or bool arrays) is checked entry by entry and put
+        over the lcm of its denominators.  Either way the shape is checked
+        first and the pair sums are taken in Python ints, so an int64 or
+        uint64 pair cannot wrap around to 1.
         """
-        entries = np.array(tables, dtype=object)
+        integer = isinstance(tables, np.ndarray) and tables.dtype.kind in "iu"
+        entries = tables if integer else np.array(tables, dtype=object)
         if entries.ndim != 4 or entries.shape[:3] != (2, 2, entries.shape[3]):
             raise TableFormatError(f"expected [2][2][d][d] nested entries, got shape {entries.shape}")
         d = check_dimension(entries.shape[-1])
-        flat = entries.ravel().tolist()
-        for q in flat:
-            if not isinstance(q, Rational):
-                raise TypeError(f"exact entries must be rational, got {type(q).__name__}")
-        denominator = math.lcm(*(int(q.denominator) for q in flat))
-        nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
-        if min(nums) < 0:
+        if integer:
+            numerators, denominator = entries.astype(object), 1
+        else:
+            flat = entries.ravel().tolist()
+            for q in flat:
+                if not isinstance(q, Rational):
+                    raise TypeError(f"exact entries must be rational, got {type(q).__name__}")
+            denominator = math.lcm(*(int(q.denominator) for q in flat))
+            nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
+            numerators = np.array(nums, dtype=object).reshape(entries.shape)
+        if numerators.min() < 0:
             raise NormalizationError("exact table contains negative entries")
-        numerators = np.array(nums, dtype=object).reshape(entries.shape)
         sums = numerators.sum(axis=(2, 3))
         for si, sj in np.ndindex(2, 2):
             if sums[si, sj] != denominator:

@@ -34,3 +34,7 @@ class SingularAngleError(BellLabError, ValueError):
 
 class EnumerationSizeError(BellLabError, ValueError):
     """A strategy enumeration or sample was requested at an unsupported size."""
+
+
+class SeedError(BellLabError, ValueError):
+    """A random seed is not a non-negative integer."""

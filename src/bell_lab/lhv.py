@@ -24,6 +24,7 @@ from .core import (
     JointProbabilityTable,
     OutcomeMapping,
     check_dimension,
+    seeded_rng,
     spin,
 )
 from .errors import DimensionError, EnumerationSizeError, MappingError
@@ -283,7 +284,7 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     if n_samples < 1:
         raise EnumerationSizeError(f"need at least one sample, got {n_samples}")
     mapping = _checked_mapping(d, mapping)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)
     nums, cases = _accel.strategy_values(mapping, *strategies.T)
     return _summarize(d, mapping, nums, cases, strategies, "sampled", int(seed))

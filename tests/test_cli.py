@@ -162,6 +162,12 @@ class TestLhvCommand:
         assert "Traceback" not in err
         assert err.startswith("error: need at least one sample") and err.count("\n") == 1
 
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "lhv", "--d", "3", "--samples", "5", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_out_of_memory(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.98 GiB")
@@ -259,6 +265,12 @@ class TestOptimizeCommand:
         obj = json.loads(out1)
         assert obj["best_value"] > 2.87
 
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--d", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--d", "2", "--seed", "1")
         assert code == 0
@@ -325,6 +337,12 @@ class TestGoldenStdout:
 
     GOLDEN = {
         "check --d 5": "f23b98d4648f4d2a814c1dc9173c20d0d1d03371854391b3e7792807308c9199",
+        # the d = 2 and d = 3 branches, the full d**4 cross-check (d = 6) and
+        # the sampled one (d = 16)
+        "check --d 2": "87b412cc933b175fbba7fe57ec0bdd837a373bee8699c72a06ad07d5ac677453",
+        "check --d 3": "a5db9d70c23a0c542b9a92ec47a8dc48ca6baa767f16bcb2b9be5774b2d2f626",
+        "check --d 6": "a507f7d2a13da23b5bb6a2882384953836c5139c965b9b9f1c86b0a8e078d325",
+        "check --d 16": "e6e47129ef80329cba33d9aa80b489bc69ffcde2062f6ad4c12004d9bad6bd01",
         "cglmp --d 37": "318e29db0c448e345397c7c60745b78048ea9e5302bf4d17981c52ffc2972d8d",
         "noise --d 7": "72018c2035b05801d08dd87e5d57e6f23a09ab622714c98b9d07e44a6664d2b0",
         "optimize --d 8 --seed 3": "35cab470cad4aa1ea2c526a1718a2d2cedff3f14fcc8dc029d7644155543a9bf",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bell_lab as bl
 from bell_lab import core
@@ -34,6 +35,50 @@ def _fraction_bell_oracle(subs) -> Fraction:
         )
         for (i, j), sign, sub in zip(core.SETTING_PAIRS, core.PAIR_SIGNS, subs)
     )
+
+
+def _point_masses(dtype, d, cells):
+    """Integer table with a 1 at ``cells[k]`` of setting pair k (pairs in order 11, 12, 21, 22)."""
+    arr = np.zeros((2, 2, d, d), dtype=dtype)
+    for (si, sj), (m, n) in zip(np.ndindex(2, 2), cells):
+        arr[si, sj, m, n] = 1
+    return arr
+
+
+def _wrapping_table(dtype):
+    """Point masses except pair 11: four 2**62 entries and a 1, which wrap to 1 in 64 bits."""
+    arr = _point_masses(dtype, 3, [(0, 0)] * 4)
+    arr[0, 0] = [[2**62, 2**62, 2**62], [2**62, 1, 0], [0, 0, 0]]
+    return arr
+
+
+@st.composite
+def integer_tables(draw):
+    dtype = draw(st.sampled_from([np.int64, np.uint64, np.int8]))
+    info = np.iinfo(dtype)
+    kind = draw(st.sampled_from(["point-mass", "entries", "shape", "wrap"]))
+    if kind == "point-mass":  # includes d = 1
+        d = draw(st.integers(1, 5))
+        cell = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+        return _point_masses(dtype, d, draw(st.lists(cell, min_size=4, max_size=4)))
+    if kind == "entries":  # below 0, above 1, pairs that miss 1
+        d = draw(st.integers(1, 4))
+        elements = st.integers(max(int(info.min), -2), 2) | st.sampled_from([int(info.min), int(info.max)])
+        return draw(hnp.arrays(dtype, (2, 2, d, d), elements=elements))
+    if kind == "shape":
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=5, min_side=0, max_side=3))
+        return draw(hnp.arrays(dtype, shape, elements=st.integers(0, 1)))
+    return _wrapping_table(draw(st.sampled_from([np.int64, np.uint64])))
+
+
+def _exact_build(tables):
+    """What from_fractions makes of ``tables``: its exact parts, or the error it raises."""
+    try:
+        t = bl.JointProbabilityTable.from_fractions(tables)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is int for x in t.numerators.flat)
+    return t.d, t.numerators.tolist(), t.denominator, t.p.shape, t.p.tobytes()
 
 
 class TestScalars:
@@ -249,6 +294,28 @@ class TestJointProbabilityTable:
         # integers are probabilities too: pairs of all-ones sum to 4, not 1
         with pytest.raises(NormalizationError):
             bl.JointProbabilityTable.from_fractions(np.ones((2, 2, 2, 2), dtype=np.int64))
+
+    @given(integer_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_array_path_matches_general_path(self, arr):
+        # Python ints take the entry-by-entry path; a zero-length axis drops
+        # the axes after it from tolist(), an object array keeps them
+        general = arr.tolist() if arr.size else arr.astype(object)
+        assert _exact_build(arr) == _exact_build(general)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_pair_sums_do_not_wrap(self, dtype):
+        arr = _wrapping_table(dtype)
+        assert arr[0, 0].sum() == 1  # numpy's own sum wraps around
+        with pytest.raises(NormalizationError, match=f"sums to {2**64 + 1}, expected 1"):
+            bl.JointProbabilityTable.from_fractions(arr)
+
+    def test_integer_array_is_copied_read_only(self):
+        arr = _point_masses(np.int64, 2, [(0, 1)] * 4)
+        t = bl.JointProbabilityTable.from_fractions(arr)
+        arr[0, 0, 0, 1] = 0
+        assert t.numerators[0, 0, 0, 1] == t.denominator == 1
+        assert not t.numerators.flags.writeable and not t.p.flags.writeable
 
     def test_json_round_trip_preserves_entries(self, rng):
         t = random_table(4, rng)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bell_lab as bl
 from bell_lab import _accel, lhv
-from bell_lab.errors import EnumerationSizeError
+from bell_lab.errors import BellLabError, EnumerationSizeError, SeedError
 
 F = Fraction
 
@@ -213,6 +213,12 @@ class TestSampling:
         assert a.to_json_dict() == b.to_json_dict()
         assert a.method == "sampled"
         assert a.to_json_dict()["seed"] == 9
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(SeedError, match="seed must be a non-negative integer") as exc:
+            bl.sample_strategies(3, 5, seed=seed)
+        assert isinstance(exc.value, BellLabError)
 
     def test_sampled_values_subset_of_value_set(self):
         summary = bl.sample_strategies(33, 2000, seed=3)
