@@ -13,7 +13,7 @@ from .core import (
     cglmp_expression,
     check_dimension,
 )
-from .lhv import EXHAUSTIVE_LIMIT, enumerate_strategies
+from .lhv import enumerate_strategies
 from .quantum import (
     CANONICAL_PHASES,
     MeasurementSettings,
@@ -50,10 +50,13 @@ def noise_threshold(d) -> float:
     return 2.0 / quantum_bell_value(check_dimension(d))
 
 
-def noise_threshold_bisect(d, tol: float = 1e-10, settings: MeasurementSettings | None = None) -> float:
-    """Threshold located by bisection on the evaluated noisy table."""
+def noise_threshold_bisect(d) -> float:
+    """Threshold located by bisection on the noisy canonical table.
+
+    The bisection stops once the visibility bracket is narrower than 1e-10.
+    """
     d = check_dimension(d)
-    quantum = born_table(d, settings)
+    quantum = born_table(d)
 
     def margin(v: float) -> float:
         return bell_expression(_mix_with_noise(quantum, v)).approx - 2.0
@@ -61,7 +64,7 @@ def noise_threshold_bisect(d, tol: float = 1e-10, settings: MeasurementSettings 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
         raise ValueError(f"no violation at full visibility for d={d}")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
             hi = mid
@@ -176,13 +179,16 @@ class ScanResult:
     threshold_decreasing: bool
 
 
-def scan_dimensions(d_max, lhv_limit: int = SCAN_LHV_LIMIT) -> ScanResult:
-    """One summary row per dimension from 2 to d_max, plus monotonicity flags."""
+def scan_dimensions(d_max) -> ScanResult:
+    """One summary row per dimension from 2 to d_max, plus monotonicity flags.
+
+    The ``lhv_max`` column is filled by exhaustive enumeration up to
+    ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.
+    """
     d_max = check_dimension(d_max)
-    lhv_limit = min(int(lhv_limit), EXHAUSTIVE_LIMIT)
     rows = []
     for d in range(2, d_max + 1):
-        lhv_max = enumerate_strategies(d).max_value if d <= lhv_limit else None
+        lhv_max = enumerate_strategies(d).max_value if d <= SCAN_LHV_LIMIT else None
         rows.append(
             ScanRow(
                 d=d,

@@ -67,30 +67,9 @@ def spin(d) -> Fraction:
     return Fraction(check_dimension(d) - 1, 2)
 
 
-def modular_residue(x, d) -> int:
-    """Least non-negative residue of x modulo d."""
-    return int(x) % check_dimension(d)
-
-
 def sign(x) -> int:
     """+1 for x >= 0, -1 otherwise (zero counts as positive)."""
     return 1 if x >= 0 else -1
-
-
-def weight_direct(x, d) -> Fraction:
-    """Kernel weight (S - (x mod d)) / S as a function of the outcome sum x."""
-    d = check_dimension(d)
-    return Fraction(d - 1 - 2 * (int(x) % d), d - 1)
-
-
-def weight_reversed(x, d) -> Fraction:
-    """Kernel weight ((x mod d) - S - 1) / S used for the reversed setting pair.
-
-    Valid whenever x is not a multiple of d; at multiples of d the reversed
-    kernel takes the value 1 instead (its argument -(m + n) wraps to 0).
-    """
-    d = check_dimension(d)
-    return Fraction(2 * (int(x) % d) - d - 1, d - 1)
 
 
 @dataclass(frozen=True)
@@ -107,13 +86,6 @@ class CorrelationKernel:
     @property
     def denominator(self) -> int:
         return self.d - 1
-
-    def weight(self, i: int, j: int, m: int, n: int) -> Fraction:
-        return Fraction(int(self.numerators[i - 1, j - 1, m, n]), self.denominator)
-
-    def weights(self) -> np.ndarray:
-        """Floating-point weights, shape (2, 2, d, d)."""
-        return self.numerators / float(self.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -248,15 +220,6 @@ class JointProbabilityTable:
         return cls(d, _validate_float_table(p, d, tol))
 
     @classmethod
-    def from_subtables(cls, tables: dict, tol: float = INTERNAL_TOL) -> "JointProbabilityTable":
-        missing = [k for k in PAIR_KEYS if k not in tables]
-        if missing:
-            raise TableFormatError(f"missing setting pairs: {missing}")
-        stack = np.array([np.asarray(tables[k], dtype=float) for k in PAIR_KEYS])
-        d = check_dimension(stack.shape[-1])
-        return cls.from_array(stack.reshape(2, 2, d, d), tol=tol)
-
-    @classmethod
     def from_fractions(cls, tables) -> "JointProbabilityTable":
         """Build an exactly-represented table.
 
@@ -362,7 +325,12 @@ class JointProbabilityTable:
         }
 
     @classmethod
-    def from_json_dict(cls, obj, tol: float = FILE_TOL) -> "JointProbabilityTable":
+    def from_json_dict(cls, obj) -> "JointProbabilityTable":
+        """Table from a parsed JSON document, normalized to within ``FILE_TOL``.
+
+        Each setting pair's shape is checked against ``"d"`` before the four
+        pairs are stacked into the (2, 2, d, d) array.
+        """
         if not isinstance(obj, dict):
             raise TableFormatError("table document must be a JSON object")
         if "d" not in obj or "tables" not in obj:
@@ -373,7 +341,7 @@ class JointProbabilityTable:
         tables = obj["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError('"tables" must be an object keyed by setting pair')
-        arrays = {}
+        arrays = []
         for key in PAIR_KEYS:
             if key not in tables:
                 raise TableFormatError(f'missing setting pair "{key}"')
@@ -386,8 +354,8 @@ class JointProbabilityTable:
                 raise TableFormatError(
                     f'setting pair "{key}" has shape {arr.shape}, expected ({d}, {d})'
                 )
-            arrays[key] = arr
-        return cls.from_subtables(arrays, tol=tol)
+            arrays.append(arr)
+        return cls.from_array(np.reshape(arrays, (2, 2, d, d)), tol=FILE_TOL)
 
 
 def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
@@ -400,8 +368,8 @@ def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityT
     return JointProbabilityTable.from_fractions([pairs[:2], pairs[2:]])
 
 
-def load_table(path, tol: float = FILE_TOL) -> JointProbabilityTable:
-    """Read a probability table from a JSON file."""
+def load_table(path) -> JointProbabilityTable:
+    """Read a probability table from a JSON file; each pair must sum to 1 within ``FILE_TOL``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -412,7 +380,7 @@ def load_table(path, tol: float = FILE_TOL) -> JointProbabilityTable:
         raise TableFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise TableFormatError(f"{path}: JSON nested too deeply to read") from exc
-    return JointProbabilityTable.from_json_dict(obj, tol=tol)
+    return JointProbabilityTable.from_json_dict(obj)
 
 
 def _check_pair_normalization(p: np.ndarray, i: int, j: int) -> None:

@@ -121,33 +121,6 @@ def case_value_set(label: str, d) -> frozenset[Fraction]:
     return frozenset(sets[label])
 
 
-@dataclass(frozen=True)
-class StrategyReport:
-    """One strategy with its sum structure, case label, and exact Bell value."""
-
-    strategy: DeterministicStrategy
-    d: int
-    sums: tuple[int, int, int, int]
-    case: str
-    value: BellValue
-    degenerate: bool
-
-    @classmethod
-    def build(cls, s, d) -> "StrategyReport":
-        d = check_dimension(d)
-        s = _coerce_strategy(s, d)
-        return cls(
-            strategy=s,
-            d=d,
-            sums=outcome_sums(s),
-            case=classify_strategy(s, d),
-            value=strategy_bell_value(s, d),
-            # for d = 2 the case split is reported but not meaningful: several
-            # cases cannot occur and the value set collapses to {2, -2}
-            degenerate=(d == 2),
-        )
-
-
 def strategy_to_table(s, d) -> JointProbabilityTable:
     """Point-mass probability table of a deterministic strategy (exact)."""
     d = check_dimension(d)

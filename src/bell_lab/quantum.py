@@ -55,20 +55,17 @@ class MeasurementSettings:
 CANONICAL_PHASES = MeasurementSettings(0.0, 0.5, 0.25, -0.25)
 
 
-def max_entangled_state(d) -> np.ndarray:
-    """Coefficient matrix of (1/sqrt d) sum_l |l, l>, shape (d, d)."""
-    d = check_dimension(d)
-    return np.eye(d, dtype=complex) / np.sqrt(d)
-
-
 def measurement_basis(d, phase: float) -> np.ndarray:
     """Orthonormal Fourier basis with phase offset; row m is the outcome-m vector.
 
-    U[m, l] = exp(i 2 pi l (m + phase) / d) / sqrt(d).
+    U[m, l] = exp(i 2 pi l (m + phase) / d) / sqrt(d).  A phase too large for
+    the arithmetic gives non-finite entries without a warning; the table built
+    from them is refused by ``JointProbabilityTable.from_array``.
     """
     d = check_dimension(d)
     l = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(np.arange(d) + phase, l) / d) / np.sqrt(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(2j * np.pi * np.outer(np.arange(d) + phase, l) / d) / np.sqrt(d)
 
 
 def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
@@ -134,9 +131,9 @@ def shift_symmetry_deviation(t: JointProbabilityTable) -> float:
     return worst
 
 
-def outcome_sum_distribution(t: JointProbabilityTable, i: int, j: int, sig: int = 1) -> np.ndarray:
-    """Distribution of the outcome sum: entry k is P(m + n congruent to sig * k mod d)."""
-    return mapped_spin_distribution(t, i, j, OutcomeMapping.sum_mapping(t.d), sig)
+def outcome_sum_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:
+    """Distribution of the outcome sum: entry k is P(m + n congruent to k mod d)."""
+    return mapped_spin_distribution(t, i, j, OutcomeMapping.sum_mapping(t.d))
 
 
 def spin_projection_distribution(d) -> np.ndarray:
@@ -161,9 +158,3 @@ def canonical_correlation(d) -> float:
 def quantum_bell_value(d) -> float:
     """Bell expression of the canonical table: all four pairs contribute equally."""
     return 4.0 * canonical_correlation(d)
-
-
-def correlation_matrix(d) -> np.ndarray:
-    """Matrix of canonical correlations Q_ij: [[Q, Q], [-Q, Q]]."""
-    q = canonical_correlation(d)
-    return np.array([[q, q], [-q, q]])

@@ -169,8 +169,9 @@ class TestScan:
         assert result.bell_increasing
         assert result.threshold_decreasing
 
-    def test_lhv_skipped_beyond_limit(self):
-        result = bl.scan_dimensions(4, lhv_limit=3)
+    def test_lhv_skipped_beyond_limit(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SCAN_LHV_LIMIT", 3)
+        result = bl.scan_dimensions(4)
         by_d = {row.d: row for row in result.rows}
         assert by_d[3].lhv_max == 2
         assert by_d[4].lhv_max is None
@@ -186,8 +187,9 @@ class TestScan:
         assert rows[1]["p_threshold"] == "0.6961524227"
         assert rows[0]["lhv_max"] == "2"
 
-    def test_csv_blank_for_skipped_lhv(self):
-        text = analysis.scan_to_csv(bl.scan_dimensions(3, lhv_limit=2))
+    def test_csv_blank_for_skipped_lhv(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SCAN_LHV_LIMIT", 2)
+        text = analysis.scan_to_csv(bl.scan_dimensions(3))
         last = text.splitlines()[-1].split(",")
         assert last[-1] == ""
 

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab
-from bell_lab import cli, lhv
+from bell_lab import analysis, cli, lhv, quantum
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,31 @@ class TestOptimizeCommand:
         assert "best phases" in out
         assert "evaluations" in out
 
+    def test_negative_halvings(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--d", "3", "--halvings", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --halvings must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantum", "--d", "3", "--phases", "1e308,0,0,0"),
+        ("optimize", "--d", "3", "--step", "inf"),
+        ("optimize", "--d", "3", "--step", "1e308", "--halvings", "1"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_phases_end_in_one_error_line(capsys, argv):
+    # a numpy RuntimeWarning would be raised here instead of being printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: table contains non-finite entries\n"
+
 
 class TestCglmpCommand:
     def test_text(self, capsys):
@@ -301,6 +327,24 @@ class TestCheckCommand:
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) >= 12
         assert out.splitlines()[-1].endswith(f"checks passed for d = {d}")
+
+    def test_born_table_builds(self, capsys, monkeypatch):
+        builds = []
+        real = quantum.born_table
+
+        def counting(d, settings=None):
+            builds.append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
+            return real(d, settings)
+
+        monkeypatch.setattr(quantum, "born_table", counting)
+        monkeypatch.setattr(analysis, "born_table", counting)
+        code, _, _ = run_cli(capsys, "check", "--d", "16")
+        assert code == 0
+        # the battery's canonical table also serves the CGLMP row; only the
+        # bisection builds the canonical table a second time
+        assert len(builds) == 13
+        assert len(set(builds)) == 12
+        assert builds.count((16, quantum.CANONICAL_PHASES.as_tuple())) == 2
 
 
 class TestUsage:

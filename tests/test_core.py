@@ -25,13 +25,33 @@ from bell_lab.errors import (
 from conftest import random_rational_table, random_table
 
 
+def weight_direct(x, d) -> Fraction:
+    """Kernel weight (S - (x mod d)) / S as a function of the outcome sum x."""
+    return Fraction(d - 1 - 2 * (x % d), d - 1)
+
+
+def weight_reversed(x, d) -> Fraction:
+    """Kernel weight ((x mod d) - S - 1) / S used for the reversed setting pair.
+
+    Valid whenever x is not a multiple of d; at multiples of d the reversed
+    kernel takes the value 1 instead (its argument -(m + n) wraps to 0).
+    """
+    return Fraction(2 * (x % d) - d - 1, d - 1)
+
+
+def _kernel_weight(kern, i, j, m, n) -> Fraction:
+    return Fraction(int(kern.numerators[i - 1, j - 1, m, n]), kern.denominator)
+
+
 def _fraction_bell_oracle(subs) -> Fraction:
     """Bell value by a Fraction double loop; ``subs`` lists the pairs 11, 12, 21, 22."""
     d = len(subs[0])
     kern = bl.correlation_kernel(d)
     return sum(
         sign * sum(
-            kern.weight(i, j, m, n) * Fraction(sub[m][n]) for m in range(d) for n in range(d)
+            _kernel_weight(kern, i, j, m, n) * Fraction(sub[m][n])
+            for m in range(d)
+            for n in range(d)
         )
         for (i, j), sign, sub in zip(core.SETTING_PAIRS, core.PAIR_SIGNS, subs)
     )
@@ -102,22 +122,16 @@ class TestScalars:
         assert bl.sign(3) == 1
         assert bl.sign(-1) == -1
 
-    @given(st.integers(-100, 100), st.integers(2, 40))
-    def test_modular_residue_range(self, x, d):
-        r = bl.modular_residue(x, d)
-        assert 0 <= r < d
-        assert (x - r) % d == 0
-
 
 class TestKernel:
     def test_direct_weight_values_d3(self):
-        assert [bl.weight_direct(x, 3) for x in range(3)] == [1, 0, -1]
+        assert [weight_direct(x, 3) for x in range(3)] == [1, 0, -1]
 
     def test_reversed_weight_values_d3(self):
         # valid away from multiples of d
-        assert bl.weight_reversed(1, 3) == -1
-        assert bl.weight_reversed(2, 3) == 0
-        assert bl.weight_reversed(4, 3) == -1
+        assert weight_reversed(1, 3) == -1
+        assert weight_reversed(2, 3) == 0
+        assert weight_reversed(4, 3) == -1
 
     def test_kernel_matches_scalar_weights(self):
         # the lone reversed pair is (1, 2), where the sign factor flips m + n
@@ -125,17 +139,17 @@ class TestKernel:
             kern = bl.correlation_kernel(d)
             for m in range(d):
                 for n in range(d):
-                    assert kern.weight(1, 1, m, n) == bl.weight_direct(m + n, d)
-                    assert kern.weight(2, 1, m, n) == bl.weight_direct(m + n, d)
-                    assert kern.weight(2, 2, m, n) == bl.weight_direct(m + n, d)
+                    assert _kernel_weight(kern, 1, 1, m, n) == weight_direct(m + n, d)
+                    assert _kernel_weight(kern, 2, 1, m, n) == weight_direct(m + n, d)
+                    assert _kernel_weight(kern, 2, 2, m, n) == weight_direct(m + n, d)
                     if (m + n) % d:
-                        assert kern.weight(1, 2, m, n) == bl.weight_reversed(m + n, d)
+                        assert _kernel_weight(kern, 1, 2, m, n) == weight_reversed(m + n, d)
                     else:
-                        assert kern.weight(1, 2, m, n) == 1
+                        assert _kernel_weight(kern, 1, 2, m, n) == 1
 
     def test_kernel_d2_is_chsh_sign_table(self):
         kern = bl.correlation_kernel(2)
-        w = kern.weights()
+        w = kern.numerators / kern.denominator
         for i, j in core.SETTING_PAIRS:
             expect = np.array([[1.0, -1.0], [-1.0, 1.0]])
             assert np.array_equal(w[i - 1, j - 1], expect)
@@ -425,7 +439,7 @@ class TestCorrelationAndBell:
         kern = bl.correlation_kernel(d)
         for i, j in core.SETTING_PAIRS:
             manual = sum(
-                float(kern.weight(i, j, m, n)) * t.p[i - 1, j - 1, m, n]
+                kern.numerators[i - 1, j - 1, m, n] / kern.denominator * t.p[i - 1, j - 1, m, n]
                 for m in range(d)
                 for n in range(d)
             )

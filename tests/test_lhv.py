@@ -376,15 +376,3 @@ class TestBackends:
             expect = bl.strategy_bell_value(s, d).exact
             assert F(2 * int(num[idx]), d - 1) == expect
             assert lhv.CASE_LABELS[case[idx]] == bl.classify_strategy(s, d)
-
-
-class TestStrategyReport:
-    def test_report_fields(self):
-        r = lhv.StrategyReport.build((2, 0, 0, 2), 3)
-        assert r.case == "Case1ii"
-        assert r.value.exact == -4
-        assert r.sums == (2, 4, 0, 2)
-        assert not r.degenerate
-
-    def test_degenerate_flag_for_two_outcomes(self):
-        assert lhv.StrategyReport.build((0, 1, 0, 1), 2).degenerate

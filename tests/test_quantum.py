@@ -22,13 +22,6 @@ FROZEN_I = {2: 2.8284271247, 3: 2.8729340512, 4: 2.8962432185}
 
 
 class TestStateAndBasis:
-    def test_state_shape_and_norm(self):
-        for d in (2, 3, 7):
-            psi = bl.max_entangled_state(d)
-            assert psi.shape == (d, d)
-            assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
-            assert np.abs(psi - np.eye(d) / math.sqrt(d)).max() < 1e-15
-
     @given(st.integers(2, 12), st.floats(-2, 2, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_basis_is_unitary(self, d, phase):
@@ -186,13 +179,6 @@ class TestCanonicalValues:
             assert abs(bl.correlation(t, 1, 2).approx - q) < 1e-12
             assert abs(bl.correlation(t, 2, 1).approx + q) < 1e-12
             assert abs(bl.correlation(t, 2, 2).approx - q) < 1e-12
-
-    def test_correlation_matrix_structure(self):
-        for d in (2, 4):
-            m = bl.correlation_matrix(d)
-            q = bl.canonical_correlation(d)
-            expect = q * np.array([[1.0, 1.0], [-1.0, 1.0]])
-            assert np.abs(m - expect).max() < 1e-12
 
 
 class TestMeasurementSettings:
