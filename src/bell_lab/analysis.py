@@ -98,7 +98,9 @@ def optimize_phases(
 
     One coordinate move of +-step at a time, keeping strict improvements;
     when a full sweep yields none the step is halved, ``halvings`` times in
-    total.  Deterministic for a fixed start.
+    total.  Deterministic for a fixed start.  Once the step has halved to 0,
+    every candidate is the current point, so each remaining halving is one
+    sweep of 8 evaluations that changes nothing: they are counted, not run.
     """
     d = check_dimension(d)
     start = start or CANONICAL_PHASES
@@ -119,7 +121,8 @@ def optimize_phases(
     start_value = best
     evaluations = 1
     width = float(step)
-    for _ in range(int(halvings)):
+    remaining = int(halvings)
+    while remaining > 0 and width != 0.0:
         improved = True
         while improved:
             improved = False
@@ -133,6 +136,8 @@ def optimize_phases(
                         x, best = cand, v
                         improved = True
         width *= 0.5
+        remaining -= 1
+    evaluations += 8 * max(remaining, 0)
     return OptimizationResult(
         start=start,
         start_value=start_value,

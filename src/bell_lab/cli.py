@@ -297,12 +297,12 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
         results.append((name, bool(ok), detail))
 
     kern = core.correlation_kernel(d)
-    zero = max(abs(int(kern.numerators[i - 1, j - 1].sum())) for i, j in core.SETTING_PAIRS)
+    zero = max(abs(int(kern[i - 1, j - 1].sum())) for i, j in core.SETTING_PAIRS)
     record("kernel-zero-sum", zero == 0, f"largest pair numerator sum {zero}")
 
     expect = np.sort(d - 1 - 2 * np.arange(d))
     rows_ok = all(
-        (np.sort(kern.numerators[i - 1, j - 1][m]) == expect).all()
+        (np.sort(kern[i - 1, j - 1][m]) == expect).all()
         for i, j in core.SETTING_PAIRS
         for m in range(d)
     )
@@ -341,11 +341,8 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     record("sum-distribution-identity", marg_dev < 1e-12, f"max deviation {marg_dev:.3e}")
 
     q = quantum.canonical_correlation(d)
-    corr = {key: core.correlation(table, i, j).approx
-            for (i, j), key in zip(core.SETTING_PAIRS, core.PAIR_KEYS)}
-    sign_dev = max(
-        abs(corr["11"] - q), abs(corr["12"] - q), abs(corr["21"] + q), abs(corr["22"] - q)
-    )
+    corr = _correlations_payload(table)
+    sign_dev = max(abs(corr[key] - s * q) for key, s in zip(core.PAIR_KEYS, core.PAIR_SIGNS))
     record("correlation-sign-pattern", sign_dev < 1e-12, f"max deviation {sign_dev:.3e}")
 
     bell = core.bell_expression(table).approx
@@ -417,13 +414,11 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     if d == 2:
         chsh_dev = 0.0
         for _ in range(20):
-            x = rng.random((2, 2, 2, 2))
-            x /= x.sum(axis=(2, 3), keepdims=True)
-            t2 = core.JointProbabilityTable.from_array(x)
+            t2 = core.random_table(2, rng)
             direct = 0.0
             for (i, j), s in zip(core.SETTING_PAIRS, core.PAIR_SIGNS):
                 e = sum(
-                    (-1) ** (m + n) * x[i - 1, j - 1, m, n] for m in range(2) for n in range(2)
+                    (-1) ** (m + n) * t2.p[i - 1, j - 1, m, n] for m in range(2) for n in range(2)
                 )
                 direct += s * e
             chsh_dev = max(chsh_dev, abs(core.bell_expression(t2).approx - direct))
@@ -432,9 +427,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     if d == 3:
         tri_dev = 0.0
         for _ in range(20):
-            x = rng.random((2, 2, 3, 3))
-            x /= x.sum(axis=(2, 3), keepdims=True)
-            t3 = core.JointProbabilityTable.from_array(x)
+            t3 = core.random_table(3, rng)
             for i, j in core.SETTING_PAIRS:
                 _, recombined = core.qutrit_complex_correlation(t3, i, j)
                 tri_dev = max(tri_dev, abs(recombined - core.correlation(t3, i, j).approx))

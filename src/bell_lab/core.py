@@ -6,9 +6,10 @@ per setting pair (i, j).  Each setting pair gets a correlation value
 
     Q_ij = (1/S) * sum_{m,n} f_ij(m, n) * p_ij(m, n),    S = (d - 1) / 2,
 
-with kernel f_ij(m, n) = S - ((m + n) mod d) for pairs (1,1), (2,1), (2,2)
-and f_12(m, n) = S - ((-(m + n)) mod d) for the reversed pair.  The Bell
-expression is I = Q_11 + Q_12 - Q_21 + Q_22.
+with kernel f_ij(m, n) = S - ((o_ij * (m + n)) mod d), where the orientation
+o_ij is -1 for the reversed pair (1,2) and +1 otherwise.  The kernel is the
+spin weight of the outcome-sum mapping.  The Bell expression is
+I = Q_11 + Q_12 - Q_21 + Q_22.
 
 All kernel weights are rationals with denominator d - 1 (after doubling), so
 correlations of exactly-represented tables can be evaluated in exact rational
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Rational
@@ -33,6 +34,8 @@ SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_KEYS = ("11", "12", "21", "22")
 # Coefficients of Q_11, Q_12, Q_21, Q_22 in the Bell expression.
 PAIR_SIGNS = (1, 1, -1, 1)
+# Orientation of each pair's mapped outcome: the reversed pair (1,2) reads -g.
+PAIR_ORIENT = (1, -1, 1, 1)
 
 # Tables built in memory must be normalized to near machine precision;
 # tables parsed from text files get a looser gate.
@@ -67,37 +70,14 @@ def spin(d) -> Fraction:
     return Fraction(check_dimension(d) - 1, 2)
 
 
-def sign(x) -> int:
-    """+1 for x >= 0, -1 otherwise (zero counts as positive)."""
-    return 1 if x >= 0 else -1
+def _pair_sum(values):
+    """The four setting-pair values, in ``SETTING_PAIRS`` order, summed with ``PAIR_SIGNS``."""
+    return sum(s * v for s, v in zip(PAIR_SIGNS, values))
 
 
-@dataclass(frozen=True)
-class CorrelationKernel:
-    """Kernel weights for all four setting pairs, stored exactly.
-
-    ``numerators[i-1, j-1, m, n]`` holds 2 * f_ij(m, n); dividing by the
-    common denominator d - 1 gives the weight f_ij / S.
-    """
-
-    d: int
-    numerators: np.ndarray
-
-    @property
-    def denominator(self) -> int:
-        return self.d - 1
-
-
-@lru_cache(maxsize=None)
-def correlation_kernel(d) -> CorrelationKernel:
-    d = check_dimension(d)
-    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    num = np.empty((2, 2, d, d), dtype=np.int64)
-    for i, j in SETTING_PAIRS:
-        residue = (sign(i - j) * (m + n)) % d
-        num[i - 1, j - 1] = (d - 1) - 2 * residue
-    num.setflags(write=False)
-    return CorrelationKernel(d, num)
+def _orient(i: int, j: int) -> int:
+    """Orientation of setting pair (i, j) from ``PAIR_ORIENT``: -1 for the reversed pair (1,2)."""
+    return PAIR_ORIENT[2 * (i - 1) + (j - 1)]
 
 
 @dataclass(frozen=True)
@@ -174,6 +154,29 @@ class OutcomeMapping:
         return f"OutcomeMapping(d={self.d}, name={self.name!r})"
 
 
+def _spin_weights(d: int, g: np.ndarray) -> np.ndarray:
+    """Doubled spin weights (d - 1) - 2k of k = (o_ij * g) mod d, as int64 (2, 2, d, d).
+
+    Over the denominator d - 1 they are (S - k) / S, the weight of the
+    synthetic spin projection S - k of the mapped outcome g(m, n).
+    """
+    orient = np.reshape(PAIR_ORIENT, (2, 2, 1, 1))
+    return (d - 1) - 2 * ((orient * g) % d)
+
+
+@lru_cache(maxsize=None)
+def correlation_kernel(d) -> np.ndarray:
+    """Kernel numerators 2 * f_ij(m, n) at ``[i-1, j-1, m, n]``, over the denominator d - 1.
+
+    They are the spin weights of the sum mapping, returned as one cached
+    read-only int64 (2, 2, d, d) array.
+    """
+    d = check_dimension(d)
+    kern = _spin_weights(d, OutcomeMapping.sum_mapping(d).table)
+    kern.setflags(write=False)
+    return kern
+
+
 def _validate_float_table(p: np.ndarray, d: int, tol: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (2, 2, d, d):
@@ -202,7 +205,9 @@ class JointProbabilityTable:
     ``from_fractions``, also carry ``numerators``: a read-only (2, 2, d, d)
     object array of Python ints over one int ``denominator``, the lcm of the
     entry denominators, so that ``p == numerators / denominator`` and each
-    setting pair's numerators sum to the denominator.  Python ints keep
+    setting pair's numerators sum to the denominator.  The denominator is not
+    a constructor argument: it is read once from the numerators of pair (1,1)
+    when the table is made, and stored.  Python ints keep
     correlations of point masses, uniform noise and rational mixtures exact
     even when the denominator passes 2**63.
     """
@@ -210,6 +215,11 @@ class JointProbabilityTable:
     d: int
     p: np.ndarray
     numerators: np.ndarray | None = None
+    denominator: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.numerators is not None:
+            object.__setattr__(self, "denominator", int(self.numerators[0, 0].sum()))
 
     @classmethod
     def from_array(cls, p, tol: float = INTERNAL_TOL) -> "JointProbabilityTable":
@@ -280,13 +290,6 @@ class JointProbabilityTable:
     def is_exact(self) -> bool:
         return self.numerators is not None
 
-    @property
-    def denominator(self) -> int | None:
-        """Common denominator of the exact entries (None for float tables)."""
-        if self.numerators is None:
-            return None
-        return int(self.numerators[0, 0].sum())
-
     def subtable(self, i: int, j: int) -> np.ndarray:
         return self.p[_check_setting(i) - 1, _check_setting(j) - 1]
 
@@ -319,8 +322,7 @@ class JointProbabilityTable:
         return {
             "d": self.d,
             "tables": {
-                key: self.p[si, sj].tolist()
-                for (si, sj), key in zip(((0, 0), (0, 1), (1, 0), (1, 1)), PAIR_KEYS)
+                key: self.p[i - 1, j - 1].tolist() for (i, j), key in zip(SETTING_PAIRS, PAIR_KEYS)
             },
         }
 
@@ -356,6 +358,13 @@ class JointProbabilityTable:
                 )
             arrays.append(arr)
         return cls.from_array(np.reshape(arrays, (2, 2, d, d)), tol=FILE_TOL)
+
+
+def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
+    """Random float table: each setting pair holds uniform weights in [0, 1) over their sum."""
+    x = rng.random((2, 2, d, d))
+    x /= x.sum(axis=(2, 3), keepdims=True)
+    return JointProbabilityTable.from_array(x)
 
 
 def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
@@ -394,23 +403,21 @@ def _check_pair_normalization(p: np.ndarray, i: int, j: int) -> None:
 def correlation(t: JointProbabilityTable, i: int, j: int) -> BellValue:
     """Kernel-weighted correlation Q_ij of one setting pair."""
     i, j = _check_setting(i), _check_setting(j)
-    kern = correlation_kernel(t.d)
     p = t.subtable(i, j)
     _check_pair_normalization(p, i, j)
-    num = kern.numerators[i - 1, j - 1]
+    num = correlation_kernel(t.d)[i - 1, j - 1]
     if t.is_exact:
         total = (t.numerators[i - 1, j - 1] * num).sum()
-        return BellValue.from_exact(Fraction(total, t.denominator * kern.denominator))
-    return BellValue(float((num * p).sum()) / kern.denominator)
+        return BellValue.from_exact(Fraction(total, t.denominator * (t.d - 1)))
+    return BellValue(float((num * p).sum()) / (t.d - 1))
 
 
 def bell_expression(t: JointProbabilityTable) -> BellValue:
     """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22."""
     parts = [correlation(t, i, j) for i, j in SETTING_PAIRS]
-    if all(part.exact is not None for part in parts):
-        exact = sum(s * part.exact for s, part in zip(PAIR_SIGNS, parts))
-        return BellValue.from_exact(exact)
-    return BellValue(float(sum(s * part.approx for s, part in zip(PAIR_SIGNS, parts))))
+    if t.is_exact:
+        return BellValue.from_exact(_pair_sum(part.exact for part in parts))
+    return BellValue(_pair_sum(part.approx for part in parts))
 
 
 def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
@@ -418,8 +425,8 @@ def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
 
     For d = 3 the kernel correlation can be packaged as the complex moment
     Qbar = sum_{m,n} alpha^(m+n) p(m, n) with alpha = exp(2 pi i / 3).  The
-    recombination Re(Qbar) + s * Im(Qbar) / sqrt(3), with s = -1 for the
-    reversed pair (1, 2) and s = +1 otherwise, equals the kernel value.
+    recombination Re(Qbar) + o * Im(Qbar) / sqrt(3), with the pair's
+    orientation o from ``PAIR_ORIENT``, equals the kernel value.
 
     Returns (complex moment, recombined real value).
     """
@@ -431,8 +438,7 @@ def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
     alpha = np.exp(2j * np.pi / 3)
     m, n = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     moment = complex((alpha ** (m + n) * p).sum())
-    s = -1.0 if (i, j) == (1, 2) else 1.0
-    return moment, moment.real + s * moment.imag / np.sqrt(3.0)
+    return moment, moment.real + _orient(i, j) * moment.imag / np.sqrt(3.0)
 
 
 def mapped_spin_distribution(
@@ -467,30 +473,23 @@ def spin_correlation(
 def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMapping) -> BellValue:
     """Bell expression assembled from mapped spin correlations.
 
-    Uses the positive spin convention for pairs (1,1), (2,1), (2,2) and the
-    negative convention for the reversed pair (1,2):
+    Each pair reads its mapped outcome with the orientation in
+    ``PAIR_ORIENT``, the negative convention for the reversed pair (1,2):
 
         I = (1/S) * [C+(1,1) + C-(1,2) - C+(2,1) + C+(2,2)].
 
-    With the outcome-sum mapping this reproduces ``bell_expression`` exactly.
+    With the outcome-sum mapping the weights are the kernel itself, so this
+    reproduces ``bell_expression`` exactly.
     """
     if mapping.d != t.d:
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
     if t.is_exact:
-        # (S - k) / S for k = (sig * g) mod d is ((d - 1) - 2k) / (d - 1)
-        sigs = np.reshape((1, -1, 1, 1), (2, 2, 1, 1))
         signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
-        weights = signs * ((t.d - 1) - 2 * ((sigs * mapping.table) % t.d))
-        total = (t.numerators * weights).sum()
+        total = (t.numerators * (signs * _spin_weights(t.d, mapping.table))).sum()
         return BellValue.from_exact(Fraction(total, t.denominator * (t.d - 1)))
-    s = (t.d - 1) / 2.0
-    total = (
-        spin_correlation(t, 1, 1, mapping, 1)
-        + spin_correlation(t, 1, 2, mapping, -1)
-        - spin_correlation(t, 2, 1, mapping, 1)
-        + spin_correlation(t, 2, 2, mapping, 1)
-    )
-    return BellValue(total / s)
+    pairs = zip(SETTING_PAIRS, PAIR_ORIENT)
+    total = _pair_sum(spin_correlation(t, i, j, mapping, o) for (i, j), o in pairs)
+    return BellValue(total / ((t.d - 1) / 2.0))
 
 
 def difference_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:
@@ -515,13 +514,13 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
     Q_ij = sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) *
            [P(A - B = k * e) - P(A - B = (-k - 1) * e)]   (mod d),
 
-    where e = +1 except for the reversed pair (1,2) where e = -1.  This is
-    the folded form of the spin correlation built on outcome differences.
+    where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
+    folded form of the spin correlation built on outcome differences.
     """
     i, j = _check_setting(i), _check_setting(j)
     _check_pair_normalization(t.subtable(i, j), i, j)
     d = t.d
-    e = sign(i - j)
+    e = _orient(i, j)
     diff = difference_distribution(t, i, j).tolist()
     total = 0.0
     for k in range(d // 2):
@@ -532,9 +531,4 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
 
 def cglmp_expression(t: JointProbabilityTable) -> float:
     """Bell expression assembled from the probability-difference correlations."""
-    return (
-        cglmp_correlation(t, 1, 1)
-        + cglmp_correlation(t, 1, 2)
-        - cglmp_correlation(t, 2, 1)
-        + cglmp_correlation(t, 2, 2)
-    )
+    return _pair_sum(cglmp_correlation(t, i, j) for i, j in SETTING_PAIRS)

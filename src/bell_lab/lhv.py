@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -35,18 +35,15 @@ EXHAUSTIVE_LIMIT = 64
 # indexed by _accel.CASE_CODE; already in the sorted order that reports use
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
 
-class DeterministicStrategy(NamedTuple):
-    a1: int
-    a2: int
-    b1: int
-    b2: int
 
-
-def _coerce_strategy(s, d: int) -> DeterministicStrategy:
-    s = DeterministicStrategy(*(int(x) for x in s))
+def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
+    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1."""
+    s = tuple(int(x) for x in s)
+    if len(s) != 4:
+        raise TypeError(f"a strategy has four outcomes (a1, a2, b1, b2), got {len(s)}")
     for x in s:
         if not 0 <= x < d:
-            raise DimensionError(f"strategy outcomes must lie in 0..{d - 1}, got {tuple(s)}")
+            raise DimensionError(f"strategy outcomes must lie in 0..{d - 1}, got {s}")
     return s
 
 

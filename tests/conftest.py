@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from bell_lab import JointProbabilityTable
-from bell_lab.core import random_rational_table  # noqa: F401  (shared with the tests)
-
-
-def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
-    """Random normalized float probability table."""
-    x = rng.random((2, 2, d, d))
-    x /= x.sum(axis=(2, 3), keepdims=True)
-    return JointProbabilityTable.from_array(x)
+from bell_lab.core import random_rational_table, random_table  # noqa: F401  (shared with the tests)
 
 
 @pytest.fixture

@@ -145,6 +145,42 @@ class TestOptimizer:
             result = bl.optimize_phases(3, start)
             assert result.value > bl.quantum_bell_value(3) - 1e-6
 
+    @pytest.mark.parametrize("seed", [None, 3, 8])
+    def test_zero_width_halvings_are_counted_not_run(self, seed):
+        def loop(start, halvings):
+            # every halving runs its sweeps, also once the step has underflowed to 0
+            values = {}
+
+            def value_at(phases):
+                key = tuple(phases)
+                if key not in values:
+                    values[key] = bl.bell_expression(bl.born_table(3, bl.MeasurementSettings(*key))).approx
+                return values[key]
+
+            x = list(start.as_tuple())
+            best, evaluations, width = value_at(x), 1, 0.05
+            for _ in range(halvings):
+                improved = True
+                while improved:
+                    improved = False
+                    for coord in range(4):
+                        for delta in (width, -width):
+                            cand = list(x)
+                            cand[coord] += delta
+                            v = value_at(cand)
+                            evaluations += 1
+                            if v > best + 1e-12:
+                                x, best, improved = cand, v, True
+                width *= 0.5
+            return x, best, evaluations, width
+
+        start = bl.CANONICAL_PHASES if seed is None else bl.random_settings(np.random.default_rng(seed))
+        result = bl.optimize_phases(3, start, halvings=1200)
+        x, best, evaluations, width = loop(start, 1200)
+        assert width == 0.0
+        assert list(result.settings.as_tuple()) == x
+        assert (result.value, result.evaluations, result.final_step) == (best, evaluations, width)
+
     def test_final_step_shrinks(self):
         result = bl.optimize_phases(2, step=0.05, halvings=10)
         assert result.final_step <= 0.05 / 2**10 + 1e-15

@@ -278,6 +278,11 @@ class TestOptimizeCommand:
         assert "best phases" in out
         assert "evaluations" in out
 
+    def test_huge_halvings_return(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--d", "3", "--halvings", "100000000000000000000000")
+        assert code == 0
+        assert out.endswith("evaluations = 800000000000000000000001\n")
+
     def test_negative_halvings(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--d", "3", "--halvings", "-1")
         assert code == 2
@@ -387,6 +392,10 @@ class TestGoldenStdout:
         "check --d 3": "a5db9d70c23a0c542b9a92ec47a8dc48ca6baa767f16bcb2b9be5774b2d2f626",
         "check --d 6": "a507f7d2a13da23b5bb6a2882384953836c5139c965b9b9f1c86b0a8e078d325",
         "check --d 16": "e6e47129ef80329cba33d9aa80b489bc69ffcde2062f6ad4c12004d9bad6bd01",
+        "check --d 4": "27ee121edf713ce5b9377f4696c81b55565da12ef57593d1939901934bcaea3f",
+        "check --d 7": "7c26ff33395d362315dabef8f0d1a05de51de514ad9274b1eaac4187f5cc705e",
+        "check --d 17": "a981ee563655f515c3ab2aafcdd2f73c488faabf2b877e5fe22d60a6eb7ef578",
+        "cglmp --d 2": "26d74d9c14ebb15dcf8943aa4b9aa70dc927b7ed26d70ede34bf550fd462a7a7",
         "cglmp --d 37": "318e29db0c448e345397c7c60745b78048ea9e5302bf4d17981c52ffc2972d8d",
         "noise --d 7": "72018c2035b05801d08dd87e5d57e6f23a09ab622714c98b9d07e44a6664d2b0",
         "optimize --d 8 --seed 3": "35cab470cad4aa1ea2c526a1718a2d2cedff3f14fcc8dc029d7644155543a9bf",

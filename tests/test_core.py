@@ -39,17 +39,16 @@ def weight_reversed(x, d) -> Fraction:
     return Fraction(2 * (x % d) - d - 1, d - 1)
 
 
-def _kernel_weight(kern, i, j, m, n) -> Fraction:
-    return Fraction(int(kern.numerators[i - 1, j - 1, m, n]), kern.denominator)
+def _kernel_weight(d, i, j, m, n) -> Fraction:
+    return Fraction(int(bl.correlation_kernel(d)[i - 1, j - 1, m, n]), d - 1)
 
 
 def _fraction_bell_oracle(subs) -> Fraction:
     """Bell value by a Fraction double loop; ``subs`` lists the pairs 11, 12, 21, 22."""
     d = len(subs[0])
-    kern = bl.correlation_kernel(d)
     return sum(
         sign * sum(
-            _kernel_weight(kern, i, j, m, n) * Fraction(sub[m][n])
+            _kernel_weight(d, i, j, m, n) * Fraction(sub[m][n])
             for m in range(d)
             for n in range(d)
         )
@@ -91,6 +90,25 @@ def integer_tables(draw):
     return _wrapping_table(draw(st.sampled_from([np.int64, np.uint64])))
 
 
+@st.composite
+def exact_tables(draw):
+    """Random rational tables, their relabelled and conjugated forms, uniform and point-mass tables."""
+    d = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["random", "relabel", "conjugate", "uniform", "point-mass"]))
+    if kind == "uniform":
+        return bl.JointProbabilityTable.uniform(d)
+    if kind == "point-mass":
+        cell = st.integers(0, d - 1)
+        return bl.JointProbabilityTable.point_mass(d, draw(cell), draw(cell))
+    t = random_rational_table(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if kind == "relabel":
+        shift = st.integers(-d, 2 * d)
+        return t.relabel(draw(shift), draw(shift))
+    if kind == "conjugate":
+        return t.conjugate_second_party()
+    return t
+
+
 def _exact_build(tables):
     """What from_fractions makes of ``tables``: its exact parts, or the error it raises."""
     try:
@@ -116,12 +134,6 @@ class TestScalars:
         assert bl.spin(3) == 1
         assert bl.spin(8) == Fraction(7, 2)
 
-    def test_sign_convention_at_zero(self):
-        # sign(0) = +1: the same-index pairs use the direct weight
-        assert bl.sign(0) == 1
-        assert bl.sign(3) == 1
-        assert bl.sign(-1) == -1
-
 
 class TestKernel:
     def test_direct_weight_values_d3(self):
@@ -134,22 +146,21 @@ class TestKernel:
         assert weight_reversed(4, 3) == -1
 
     def test_kernel_matches_scalar_weights(self):
-        # the lone reversed pair is (1, 2), where the sign factor flips m + n
+        # the lone reversed pair is (1, 2), whose orientation flips m + n
         for d in (2, 3, 5):
-            kern = bl.correlation_kernel(d)
             for m in range(d):
                 for n in range(d):
-                    assert _kernel_weight(kern, 1, 1, m, n) == weight_direct(m + n, d)
-                    assert _kernel_weight(kern, 2, 1, m, n) == weight_direct(m + n, d)
-                    assert _kernel_weight(kern, 2, 2, m, n) == weight_direct(m + n, d)
+                    assert _kernel_weight(d, 1, 1, m, n) == weight_direct(m + n, d)
+                    assert _kernel_weight(d, 2, 1, m, n) == weight_direct(m + n, d)
+                    assert _kernel_weight(d, 2, 2, m, n) == weight_direct(m + n, d)
                     if (m + n) % d:
-                        assert _kernel_weight(kern, 1, 2, m, n) == weight_reversed(m + n, d)
+                        assert _kernel_weight(d, 1, 2, m, n) == weight_reversed(m + n, d)
                     else:
-                        assert _kernel_weight(kern, 1, 2, m, n) == 1
+                        assert _kernel_weight(d, 1, 2, m, n) == 1
 
     def test_kernel_d2_is_chsh_sign_table(self):
-        kern = bl.correlation_kernel(2)
-        w = kern.numerators / kern.denominator
+        d = 2
+        w = bl.correlation_kernel(d) / (d - 1)
         for i, j in core.SETTING_PAIRS:
             expect = np.array([[1.0, -1.0], [-1.0, 1.0]])
             assert np.array_equal(w[i - 1, j - 1], expect)
@@ -159,7 +170,7 @@ class TestKernel:
     def test_kernel_rows_and_columns_sum_to_zero(self, d):
         kern = bl.correlation_kernel(d)
         for i, j in core.SETTING_PAIRS:
-            num = kern.numerators[i - 1, j - 1]
+            num = kern[i - 1, j - 1]
             assert num.sum(axis=0).max() == 0 == num.sum(axis=0).min()
             assert num.sum(axis=1).max() == 0 == num.sum(axis=1).min()
 
@@ -170,12 +181,23 @@ class TestKernel:
         expect = np.sort(d - 1 - 2 * np.arange(d))
         for i, j in core.SETTING_PAIRS:
             for m in range(d):
-                assert np.array_equal(np.sort(kern.numerators[i - 1, j - 1, m]), expect)
+                assert np.array_equal(np.sort(kern[i - 1, j - 1, m]), expect)
+
+    def test_kernel_is_the_sum_mappings_spin_weights(self):
+        for d in (2, 3, 8):
+            kern = bl.correlation_kernel(d)
+            assert kern is bl.correlation_kernel(d)
+            assert kern.dtype == np.int64 and kern.shape == (2, 2, d, d)
+            assert not kern.flags.writeable
+            g = bl.OutcomeMapping.sum_mapping(d).table
+            for (i, j), o in zip(core.SETTING_PAIRS, core.PAIR_ORIENT):
+                # weight 2 * (S - k) of the spin projection S - k, k = (o * g) mod d
+                assert np.array_equal(kern[i - 1, j - 1], (d - 1) - 2 * ((o * g) % d))
 
     def test_kernel_depends_only_on_sum_mod_d(self):
         kern = bl.correlation_kernel(7)
         for i, j in core.SETTING_PAIRS:
-            num = kern.numerators[i - 1, j - 1]
+            num = kern[i - 1, j - 1]
             for m in range(7):
                 for n in range(7):
                     assert num[m, n] == num[(m + 3) % 7, (n - 3) % 7]
@@ -331,6 +353,15 @@ class TestJointProbabilityTable:
         assert t.numerators[0, 0, 0, 1] == t.denominator == 1
         assert not t.numerators.flags.writeable and not t.p.flags.writeable
 
+    def test_denominator_is_read_from_the_numerators(self, rng):
+        t = random_rational_table(5, rng)
+        direct = bl.JointProbabilityTable(t.d, t.p, t.numerators)
+        assert direct.denominator == t.denominator == int(t.numerators[0, 0].sum())
+        assert bl.bell_expression(direct).exact == bl.bell_expression(t).exact
+        assert bl.JointProbabilityTable(t.d, t.p).denominator is None
+        with pytest.raises(TypeError):
+            bl.JointProbabilityTable(t.d, t.p, t.numerators, 1)
+
     def test_json_round_trip_preserves_entries(self, rng):
         t = random_table(4, rng)
         back = bl.JointProbabilityTable.from_json_dict(t.to_json_dict())
@@ -439,11 +470,24 @@ class TestCorrelationAndBell:
         kern = bl.correlation_kernel(d)
         for i, j in core.SETTING_PAIRS:
             manual = sum(
-                kern.numerators[i - 1, j - 1, m, n] / kern.denominator * t.p[i - 1, j - 1, m, n]
+                kern[i - 1, j - 1, m, n] / (d - 1) * t.p[i - 1, j - 1, m, n]
                 for m in range(d)
                 for n in range(d)
             )
             assert abs(bl.correlation(t, i, j).approx - manual) < 1e-12
+
+    @given(exact_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_pair_values_combine_one_way(self, t):
+        for i, j in core.SETTING_PAIRS:
+            assert type(t.denominator) is int
+            assert int(t.numerators[i - 1, j - 1].sum()) == t.denominator
+        value = bl.bell_expression(t).exact
+        paired = sum(
+            s * bl.correlation(t, i, j).exact for (i, j), s in zip(core.SETTING_PAIRS, core.PAIR_SIGNS)
+        )
+        assert value == paired
+        assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.sum_mapping(t.d)).exact
 
     def test_bell_combination_signs(self, rng):
         t = random_table(3, rng)
@@ -522,8 +566,8 @@ class TestCglmpPieces:
                     assert bl.difference_probability(t, i, j, c) == loop[c % d]
 
     def test_cglmp_correlation_is_the_per_c_loop(self, rng):
-        def loop_correlation(t, i, j):
-            p, d, e = t.subtable(i, j), t.d, bl.sign(i - j)
+        def loop_correlation(t, i, j, e):
+            p, d = t.subtable(i, j), t.d
             rows = np.arange(d)
 
             def prob(c):
@@ -536,8 +580,8 @@ class TestCglmpPieces:
 
         for d in list(range(2, 20)) + [31, 64]:
             t = random_table(d, rng)
-            for i, j in core.SETTING_PAIRS:
-                assert bl.cglmp_correlation(t, i, j) == loop_correlation(t, i, j)
+            for (i, j), e in zip(core.SETTING_PAIRS, core.PAIR_ORIENT):
+                assert bl.cglmp_correlation(t, i, j) == loop_correlation(t, i, j, e)
 
     def test_cglmp_d2_collapses_to_chsh_correlation(self, rng):
         t = random_table(2, rng)

@@ -56,6 +56,12 @@ class TestStrategyValue:
         with pytest.raises(ValueError):
             bl.strategy_bell_value((-1, 0, 0, 0), 3)
 
+    @pytest.mark.parametrize("s", [(), (0, 0, 0), (0, 0, 0, 0, 0)])
+    def test_rejects_strategies_without_four_outcomes(self, s):
+        for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
+            with pytest.raises(TypeError):
+                evaluate(s, 3)
+
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_closed_form_equals_table_evaluation(self, d, data):
