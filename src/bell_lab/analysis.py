@@ -22,7 +22,6 @@ from .quantum import (
     quantum_bell_value,
 )
 
-SCAN_COLUMNS = ("d", "Q_d", "I_d_QM", "p_threshold", "cglmp_value", "lhv_max")
 # exhaustive strategy scans stay cheap in this range; larger d leave the column empty
 SCAN_LHV_LIMIT = 16
 
@@ -55,15 +54,18 @@ def noise_threshold_bisect(d) -> float:
 
     The bisection stops once the visibility bracket is narrower than 1e-10.
     """
-    d = check_dimension(d)
-    quantum = born_table(d)
+    return _bisect_threshold(born_table(check_dimension(d)))
+
+
+def _bisect_threshold(quantum: JointProbabilityTable) -> float:
+    """Visibility where the given table, mixed with uniform noise, crosses 2."""
 
     def margin(v: float) -> float:
         return bell_expression(_mix_with_noise(quantum, v)).approx - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
-        raise ValueError(f"no violation at full visibility for d={d}")
+        raise ValueError(f"no violation at full visibility for d={quantum.d}")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
@@ -211,51 +213,3 @@ def scan_dimensions(d_max) -> ScanResult:
         bell_increasing=all(b2 > b1 for b1, b2 in zip(bells, bells[1:])),
         threshold_decreasing=all(t2 < t1 for t1, t2 in zip(thresholds, thresholds[1:])),
     )
-
-
-def fmt10(x) -> str:
-    """Report format for floats: 10 significant digits."""
-    return f"{float(x):.10g}"
-
-
-def round10(x) -> float:
-    return float(fmt10(x))
-
-
-def scan_to_csv(result: ScanResult) -> str:
-    lines = ["# schema_version=1", ",".join(SCAN_COLUMNS)]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.d),
-                    fmt10(r.q_correlation),
-                    fmt10(r.bell_quantum),
-                    fmt10(r.p_threshold),
-                    fmt10(r.cglmp_value),
-                    "" if r.lhv_max is None else str(r.lhv_max),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scan_to_json(result: ScanResult) -> dict:
-    rows = []
-    for r in result.rows:
-        rows.append(
-            {
-                "d": r.d,
-                "Q_d": round10(r.q_correlation),
-                "I_d_QM": round10(r.bell_quantum),
-                "p_threshold": round10(r.p_threshold),
-                "cglmp_value": round10(r.cglmp_value),
-                "lhv_max": None if r.lhv_max is None else str(r.lhv_max),
-            }
-        )
-    return {
-        "schema_version": 1,
-        "rows": rows,
-        "bell_value_increasing": result.bell_increasing,
-        "threshold_decreasing": result.threshold_decreasing,
-    }

@@ -3,15 +3,17 @@
 Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  ``lhv``
 counts all d**4 local strategies exactly (one algorithm, O(d**3) in memory and
 O(d**4) in time, up to d = 64) or, with --samples and --seed, summarises a
-seeded sample.  Reports are deterministic for a fixed argument vector: floats
-are printed with 10 significant digits, exact rationals as "p/q", and every
-JSON report carries a schema_version field.  Exit codes: 0 success, 1 failed
+seeded sample.  Every report is laid out here; the other modules return data.
+Reports are deterministic for a fixed argument vector: floats are printed
+with 10 significant digits, exact rationals as "p/q", and every JSON report
+and the scan CSV header carry ``SCHEMA_VERSION``.  Exit codes: 0 success, 1 failed
 checks, 2 usage or input errors, including a request that runs out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -19,10 +21,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, core, lhv, quantum
-from .analysis import fmt10, round10
 from .errors import BellLabError
 
 SCHEMA_VERSION = 1
+# one column per analysis.ScanRow field, in field order
+SCAN_COLUMNS = ("d", "Q_d", "I_d_QM", "p_threshold", "cglmp_value", "lhv_max")
+
+
+def fmt10(x) -> str:
+    """Report format for floats: 10 significant digits."""
+    return f"{float(x):.10g}"
+
+
+def round10(x) -> float:
+    return float(fmt10(x))
 
 
 def _emit(text: str) -> None:
@@ -166,16 +178,34 @@ def _lhv_summary(args) -> lhv.EnumerationSummary:
     return lhv.enumerate_strategies(d, mapping)
 
 
+def _lhv_json(summary: lhv.EnumerationSummary) -> dict:
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "d": summary.d,
+        "mapping": summary.mapping,
+        "method": summary.method,
+        "n_strategies": summary.n_strategies,
+        "max": str(summary.max_value),
+        "histogram": {str(v): c for v, c in summary.histogram.items()},
+        "argmax_count": summary.argmax_count,
+        "case_counts": dict(summary.case_counts),
+    }
+    if summary.d == 2:
+        out["cases_degenerate"] = True
+    if summary.seed is not None:
+        out["seed"] = summary.seed
+    return out
+
+
 def cmd_lhv(args) -> int:
     summary = _lhv_summary(args)
     if args.format == "json":
-        _emit_json(summary.to_json_dict())
+        _emit_json(_lhv_json(summary))
         return 0
-    exact = summary.max_value
     lines = [
         f"d = {summary.d}  mapping = {summary.mapping}  method = {summary.method}"
         f"  strategies = {summary.n_strategies}",
-        f"max = {exact} (exact)",
+        f"max = {summary.max_value} (exact)",
         "histogram: " + "  ".join(f"{v} x{c}" for v, c in summary.histogram.items()),
         "cases: " + "  ".join(f"{k}={v}" for k, v in summary.case_counts.items()),
         f"argmax count = {summary.argmax_count}",
@@ -188,12 +218,36 @@ def cmd_lhv(args) -> int:
     return 0
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return fmt10(value) if isinstance(value, float) else str(value)
+
+
+def _json_cell(value):
+    if isinstance(value, float):
+        return round10(value)
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def cmd_scan(args) -> int:
     result = analysis.scan_dimensions(core.check_dimension(args.dmax))
     if args.format == "json":
-        _emit_json(analysis.scan_to_json(result))
+        _emit_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "rows": [
+                    dict(zip(SCAN_COLUMNS, map(_json_cell, dataclasses.astuple(r))))
+                    for r in result.rows
+                ],
+                "bell_value_increasing": result.bell_increasing,
+                "threshold_decreasing": result.threshold_decreasing,
+            }
+        )
     else:
-        _emit(analysis.scan_to_csv(result))
+        lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(SCAN_COLUMNS)]
+        lines += [",".join(map(_csv_cell, dataclasses.astuple(r))) for r in result.rows]
+        _emit("\n".join(lines))
     return 0
 
 
@@ -368,7 +422,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
 
     thr = analysis.noise_threshold(d)
     identity_dev = abs(thr * bell - 2.0)
-    bis_dev = abs(analysis.noise_threshold_bisect(d) - thr)
+    bis_dev = abs(analysis._bisect_threshold(table) - thr)
     record(
         "noise-threshold",
         identity_dev < 1e-10 and bis_dev < 1e-9,

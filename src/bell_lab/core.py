@@ -271,43 +271,12 @@ class JointProbabilityTable:
         numerators.setflags(write=False)
         return cls(d, p, numerators)
 
-    @classmethod
-    def uniform(cls, d) -> "JointProbabilityTable":
-        d = check_dimension(d)
-        return cls.from_fractions(np.full((2, 2, d, d), Fraction(1, d * d), dtype=object))
-
-    @classmethod
-    def point_mass(cls, d, m: int, n: int) -> "JointProbabilityTable":
-        """Table concentrated on outcomes (m, n) for every setting pair."""
-        d = check_dimension(d)
-        if not (0 <= m < d and 0 <= n < d):
-            raise DimensionError(f"point-mass outcomes must lie in 0..{d - 1}, got ({m}, {n})")
-        counts = np.zeros((2, 2, d, d), dtype=np.int64)
-        counts[:, :, m, n] = 1
-        return cls.from_fractions(counts)
-
     @property
     def is_exact(self) -> bool:
         return self.numerators is not None
 
     def subtable(self, i: int, j: int) -> np.ndarray:
         return self.p[_check_setting(i) - 1, _check_setting(j) - 1]
-
-    def _permute_outcomes(self, rows: np.ndarray, cols: np.ndarray) -> "JointProbabilityTable":
-        # entry (m, n) of the result is entry (rows[m], cols[n]) of this table
-        def take(a):
-            if a is None:
-                return None
-            a = a[np.ix_(range(2), range(2), rows, cols)]
-            a.setflags(write=False)
-            return a
-
-        return JointProbabilityTable(self.d, take(self.p), take(self.numerators))
-
-    def relabel(self, a_shift: int, b_shift: int) -> "JointProbabilityTable":
-        """Cyclically relabel outcomes: m -> m + a_shift, n -> n + b_shift (mod d)."""
-        k = np.arange(self.d)
-        return self._permute_outcomes((k - int(a_shift)) % self.d, (k - int(b_shift)) % self.d)
 
     def conjugate_second_party(self) -> "JointProbabilityTable":
         """Relabel the second party's outcomes n -> -n (mod d).
@@ -316,7 +285,16 @@ class JointProbabilityTable:
         the relabeled table are distributed like differences of the original.
         """
         k = np.arange(self.d)
-        return self._permute_outcomes(k, (-k) % self.d)
+        index = np.ix_(range(2), range(2), k, (-k) % self.d)
+
+        def take(a):
+            if a is None:
+                return None
+            a = a[index]
+            a.setflags(write=False)
+            return a
+
+        return JointProbabilityTable(self.d, take(self.p), take(self.numerators))
 
     def to_json_dict(self) -> dict:
         return {

@@ -150,24 +150,6 @@ class EnumerationSummary:
         """
         return self.argmax_rows()
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "schema_version": 1,
-            "d": self.d,
-            "mapping": self.mapping,
-            "method": self.method,
-            "n_strategies": self.n_strategies,
-            "max": str(self.max_value),
-            "histogram": {str(v): c for v, c in self.histogram.items()},
-            "argmax_count": self.argmax_count,
-            "case_counts": dict(self.case_counts),
-        }
-        if self.d == 2:
-            out["cases_degenerate"] = True
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
 
 def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax_rows, seed=None):
     # values[k] counts numerators k - 2(d-1); cases[c] counts case code c

@@ -4,15 +4,13 @@ The threshold sequence below was computed beforehand at 40-digit precision;
 entries are rounded to 10 decimal places.
 """
 
-import csv
-import json
 import math
 
 import numpy as np
 import pytest
 
 import bell_lab as bl
-from bell_lab import analysis
+from bell_lab import analysis, cli
 
 FROZEN_THRESHOLDS = {
     2: 0.7071067812,
@@ -212,35 +210,10 @@ class TestScan:
         assert by_d[3].lhv_max == 2
         assert by_d[4].lhv_max is None
 
-    def test_csv_shape(self):
-        text = analysis.scan_to_csv(bl.scan_dimensions(4))
-        lines = text.splitlines()
-        assert lines[0] == "# schema_version=1"
-        reader = csv.DictReader(lines[1:])
-        rows = list(reader)
-        assert reader.fieldnames == list(analysis.SCAN_COLUMNS)
-        assert [r["d"] for r in rows] == ["2", "3", "4"]
-        assert rows[1]["p_threshold"] == "0.6961524227"
-        assert rows[0]["lhv_max"] == "2"
-
-    def test_csv_blank_for_skipped_lhv(self, monkeypatch):
-        monkeypatch.setattr(analysis, "SCAN_LHV_LIMIT", 2)
-        text = analysis.scan_to_csv(bl.scan_dimensions(3))
-        last = text.splitlines()[-1].split(",")
-        assert last[-1] == ""
-
-    def test_json_shape(self):
-        obj = analysis.scan_to_json(bl.scan_dimensions(3))
-        assert obj["schema_version"] == 1
-        assert obj["bell_value_increasing"] is True
-        assert obj["threshold_decreasing"] is True
-        row = obj["rows"][1]
-        assert row["d"] == 3
-        assert row["lhv_max"] == "2"
-        assert row["p_threshold"] == 0.6961524227
-        json.dumps(obj)
-
-    def test_csv_deterministic(self):
-        a = analysis.scan_to_csv(bl.scan_dimensions(5))
-        b = analysis.scan_to_csv(bl.scan_dimensions(5))
-        assert a == b
+    def test_csv_deterministic(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert cli.run(["scan", "--dmax", "5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1] == ",".join(cli.SCAN_COLUMNS)

@@ -1,5 +1,7 @@
 """Command line interface tests (run in-process through cli.run)."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -199,6 +201,21 @@ class TestLhvCommand:
         assert out == ""
         assert "--threads" in err
 
+    def test_json_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "lhv", "--d", "2", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["schema_version"] == cli.SCHEMA_VERSION == 1
+        assert obj["max"] == "2"
+        assert obj["histogram"] == {"2": 8, "-2": 8}
+        assert list(obj["histogram"]) == ["2", "-2"]
+        assert obj["cases_degenerate"] is True
+        assert "seed" not in obj
+        _, out3, _ = run_cli(capsys, "lhv", "--d", "3", "--format", "json")
+        obj3 = json.loads(out3)
+        assert "cases_degenerate" not in obj3
+        assert obj3["argmax_count"] == 30
+
     def test_sampled_determinism(self, capsys):
         args = ("lhv", "--d", "40", "--samples", "300", "--seed", "8", "--format", "json")
         _, out1, _ = run_cli(capsys, *args)
@@ -222,6 +239,42 @@ class TestScanCommand:
         obj = json.loads(out)
         assert obj["rows"][0]["d"] == 2
         assert obj["bell_value_increasing"] is True
+
+    def test_csv_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--dmax", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"# schema_version={cli.SCHEMA_VERSION}"
+        reader = csv.DictReader(lines[1:])
+        rows = list(reader)
+        assert reader.fieldnames == list(cli.SCAN_COLUMNS)
+        assert [r["d"] for r in rows] == ["2", "3", "4"]
+        assert rows[1]["p_threshold"] == "0.6961524227"
+        assert rows[0]["lhv_max"] == "2"
+
+    def test_csv_blank_for_skipped_lhv(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "SCAN_LHV_LIMIT", 2)
+        code, out, _ = run_cli(capsys, "scan", "--dmax", "3")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-1] == ""
+
+    def test_json_shape(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "SCAN_LHV_LIMIT", 2)
+        code, out, _ = run_cli(capsys, "scan", "--dmax", "3", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["schema_version"] == cli.SCHEMA_VERSION
+        assert obj["bell_value_increasing"] is True
+        assert obj["threshold_decreasing"] is True
+        assert [list(row) for row in obj["rows"]] == [list(cli.SCAN_COLUMNS)] * 2
+        assert obj["rows"][0]["lhv_max"] == "2"
+        row = obj["rows"][1]
+        assert row["d"] == 3
+        assert row["lhv_max"] is None
+        assert row["p_threshold"] == 0.6961524227
+
+    def test_columns_name_every_row_field(self):
+        assert len(cli.SCAN_COLUMNS) == len(dataclasses.fields(analysis.ScanRow))
 
     def test_missing_dmax(self, capsys):
         code, _, _ = run_cli(capsys, "scan")
@@ -345,11 +398,11 @@ class TestCheckCommand:
         monkeypatch.setattr(analysis, "born_table", counting)
         code, _, _ = run_cli(capsys, "check", "--d", "16")
         assert code == 0
-        # the battery's canonical table also serves the CGLMP row; only the
-        # bisection builds the canonical table a second time
-        assert len(builds) == 13
+        # the battery's canonical table also serves the CGLMP row and the
+        # noise-threshold bisection
+        assert len(builds) == 12
         assert len(set(builds)) == 12
-        assert builds.count((16, quantum.CANONICAL_PHASES.as_tuple())) == 2
+        assert builds.count((16, quantum.CANONICAL_PHASES.as_tuple())) == 1
 
 
 class TestUsage:
@@ -409,6 +462,13 @@ class TestGoldenStdout:
         "optimize --d 8 --seed 3 --format json": "4554464185ba5acdb257c3ed813d9f2ae708ed8861befde3b7e32cf1ce6010c3",
         "quantum --d 64": "33c2e11e4e84393d6f58ef3313b1432da0657a0218728f5a01dfdb20d440543f",
         "quantum --d 384": "9fbf48aec96052a8c4c5f248bb68b16455e7646e4d213c868d063c7202ffc8a4",
+        # the scan CSV (rows with lhv_max and rows that leave it empty) and the
+        # lhv text and sampled JSON layouts, recorded before they moved into cli
+        "scan --dmax 20": "fc722337e4aa1c72b1b04ba3802e65cc34ec9223dd472bf90ca35494340ac039",
+        "lhv --d 2": "de1757bdb95f7ba0fe42d9113f9099fd186b760eeaa089840dfa05aa29a59ed4",
+        "lhv --d 7": "0a8a6f404c8ceb2cd2f0e1ab8fceafc99f718e5e910ee3bcb80f7ff38baac809",
+        "lhv --d 40 --samples 1000 --seed 2": "c87f6df1d17fb1e55838c180d7c771c6958ef86dc35e490583037d70cbdcea0d",
+        "lhv --d 300 --samples 5000 --seed 4 --format json": "38313df4125889de30981805d0a6020551cc0291690db883c65b64ed276ac9a7",
     }
     # quantum --input-file on the written quantum --d 64 report, without its "source" line
     READ_BACK_D64 = "17b197f686631bf8ba00dda1c14c00d99f1d8f82a4cd8102bf5afd24b7417d92"

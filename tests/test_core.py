@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bell_lab as bl
-from bell_lab import core
+from bell_lab import core, lhv
 from bell_lab.errors import (
     DimensionError,
     MappingError,
@@ -54,6 +54,22 @@ def _fraction_bell_oracle(subs) -> Fraction:
         )
         for (i, j), sign, sub in zip(core.SETTING_PAIRS, core.PAIR_SIGNS, subs)
     )
+
+
+def uniform_table(d):
+    return bl.JointProbabilityTable.from_fractions(np.full((2, 2, d, d), Fraction(1, d * d), dtype=object))
+
+
+def point_mass_table(d, m, n):
+    """Exact table concentrated on outcomes (m, n) for every setting pair."""
+    return lhv.strategy_to_table((m, m, n, n), d)
+
+
+def relabel(t, a_shift, b_shift):
+    """Cyclic relabelling m -> m + a_shift, n -> n + b_shift (mod d), exact parts included."""
+    k = np.arange(t.d)
+    index = np.ix_(range(2), range(2), (k - a_shift) % t.d, (k - b_shift) % t.d)
+    return bl.JointProbabilityTable(t.d, t.p[index], None if t.numerators is None else t.numerators[index])
 
 
 def _point_masses(dtype, d, cells):
@@ -96,14 +112,14 @@ def exact_tables(draw):
     d = draw(st.integers(2, 12))
     kind = draw(st.sampled_from(["random", "relabel", "conjugate", "uniform", "point-mass"]))
     if kind == "uniform":
-        return bl.JointProbabilityTable.uniform(d)
+        return uniform_table(d)
     if kind == "point-mass":
         cell = st.integers(0, d - 1)
-        return bl.JointProbabilityTable.point_mass(d, draw(cell), draw(cell))
+        return point_mass_table(d, draw(cell), draw(cell))
     t = random_rational_table(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     if kind == "relabel":
         shift = st.integers(-d, 2 * d)
-        return t.relabel(draw(shift), draw(shift))
+        return relabel(t, draw(shift), draw(shift))
     if kind == "conjugate":
         return t.conjugate_second_party()
     return t
@@ -278,17 +294,19 @@ class TestJointProbabilityTable:
             bl.JointProbabilityTable.from_array(x)
 
     def test_uniform_and_point_mass(self):
-        u = bl.JointProbabilityTable.uniform(3)
+        u = uniform_table(3)
         assert u.is_exact
         assert Fraction(u.numerators[0, 0, 2, 2], u.denominator) == Fraction(1, 9)
-        p = bl.JointProbabilityTable.point_mass(3, 1, 2)
+        p = point_mass_table(3, 1, 2)
         assert p.p[0, 0, 1, 2] == 1.0
         assert p.numerators[1, 0, 1, 2] == p.denominator == 1
 
     @pytest.mark.parametrize("m, n", [(-1, 0), (3, 0), (0, -1), (0, 3)])
     def test_point_mass_rejects_outcomes_out_of_range(self, m, n):
+        # a point mass is the table of the strategy (m, m, n, n): the range
+        # check is strategy_to_table's
         with pytest.raises(DimensionError):
-            bl.JointProbabilityTable.point_mass(3, m, n)
+            point_mass_table(3, m, n)
 
     def test_from_fractions_rejects_ragged_and_float_entries(self):
         half = Fraction(1, 2)
@@ -385,11 +403,6 @@ class TestJointProbabilityTable:
         with pytest.raises(TableFormatError):
             bl.load_table(path)
 
-    def test_relabel_rolls_outcomes(self, rng):
-        t = random_table(3, rng)
-        r = t.relabel(1, 0)
-        assert np.allclose(r.p[:, :, 1, :], t.p[:, :, 0, :])
-
     def test_conjugate_second_party_is_involution(self, rng):
         t = random_table(4, rng)
         back = t.conjugate_second_party().conjugate_second_party()
@@ -399,12 +412,12 @@ class TestJointProbabilityTable:
 class TestCorrelationAndBell:
     def test_uniform_table_scores_zero_exactly(self):
         for d in (2, 3, 6):
-            v = bl.bell_expression(bl.JointProbabilityTable.uniform(d))
+            v = bl.bell_expression(uniform_table(d))
             assert v.exact == 0
 
     def test_point_mass_values(self):
         # all outcomes zero: every pair contributes weight 1, signs 1+1-1+1
-        t = bl.JointProbabilityTable.point_mass(3, 0, 0)
+        t = point_mass_table(3, 0, 0)
         assert bl.bell_expression(t).exact == 2
 
     def test_exact_and_float_paths_agree(self, rng):
@@ -433,7 +446,7 @@ class TestCorrelationAndBell:
         # shifting both outcomes by (c, -c) preserves every m+n residue
         rng = np.random.default_rng(d * 64 + c_a * 8 + c_b)
         t = random_rational_table(d, rng)
-        shifted = t.relabel(c_a % d, (-c_a) % d)
+        shifted = relabel(t, c_a % d, (-c_a) % d)
         assert bl.bell_expression(shifted).exact == bl.bell_expression(t).exact
 
     @given(st.integers(2, 8), st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 2**32))
@@ -449,7 +462,7 @@ class TestCorrelationAndBell:
         same = list(range(d))
         cases = (
             (t, same, same),
-            (t.relabel(a_shift, b_shift),
+            (relabel(t, a_shift, b_shift),
              [(m - a_shift) % d for m in same], [(n - b_shift) % d for n in same]),
             (t.conjugate_second_party(), same, [(-n) % d for n in same]),
         )
@@ -534,7 +547,7 @@ class TestSpinAssembly:
     def test_exact_assembly_rejects_mapping_of_other_size(self, mapping_d):
         with pytest.raises(MappingError):
             bl.bell_from_spin_correlations(
-                bl.JointProbabilityTable.uniform(3), bl.OutcomeMapping.sum_mapping(mapping_d)
+                uniform_table(3), bl.OutcomeMapping.sum_mapping(mapping_d)
             )
 
     def test_spin_assembly_with_difference_equals_cglmp(self, rng):
