@@ -61,7 +61,7 @@ def _bisect_threshold(quantum: JointProbabilityTable) -> float:
     """Visibility where the given table, mixed with uniform noise, crosses 2."""
 
     def margin(v: float) -> float:
-        return bell_expression(_mix_with_noise(quantum, v)).approx - 2.0
+        return bell_expression(_mix_with_noise(quantum, v)) - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
@@ -115,7 +115,7 @@ def optimize_phases(
     def value_at(phases) -> float:
         key = tuple(phases)
         if key not in values:
-            values[key] = bell_expression(born_table(d, MeasurementSettings(*key))).approx
+            values[key] = bell_expression(born_table(d, MeasurementSettings(*key)))
         return values[key]
 
     x = list(start.as_tuple())
@@ -160,7 +160,7 @@ def cglmp_crosscheck(d) -> dict:
     """
     d = check_dimension(d)
     table = born_table(d)
-    kernel_value = bell_expression(table).approx
+    kernel_value = bell_expression(table)
     cglmp_value = cglmp_expression(table.conjugate_second_party())
     return {
         "kernel_value": kernel_value,

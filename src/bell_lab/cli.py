@@ -120,25 +120,29 @@ def _parse_phases(text: str) -> quantum.MeasurementSettings:
 
 def _correlations_payload(table: core.JointProbabilityTable) -> dict:
     return {
-        key: float(core.correlation(table, i, j).approx)
+        key: float(core.correlation(table, i, j))
         for (i, j), key in zip(core.SETTING_PAIRS, core.PAIR_KEYS)
     }
 
 
 def cmd_quantum(args) -> int:
-    if args.input_file:
+    if args.input_file is not None:
+        if args.d is not None or args.phases is not None:
+            raise BellLabError("--input-file cannot be combined with --d or --phases")
         table = core.load_table(args.input_file)
         report = {
             "schema_version": SCHEMA_VERSION,
             "d": table.d,
             "source": args.input_file,
             "summary": {
-                "bell_value": float(core.bell_expression(table).approx),
+                "bell_value": float(core.bell_expression(table)),
                 "correlations": _correlations_payload(table),
             },
         }
         _emit_json(report)
         return 0
+    if args.d is None:
+        raise BellLabError("quantum needs --d or --input-file")
     d = core.check_dimension(args.d)
     settings = _parse_phases(args.phases) if args.phases else quantum.CANONICAL_PHASES
     table = quantum.born_table(d, settings)
@@ -155,7 +159,7 @@ def cmd_quantum(args) -> int:
             "d": d,
             "Q_d": round10(quantum.canonical_correlation(d)),
             "I_d_QM": round10(quantum.quantum_bell_value(d)),
-            "bell_value": float(core.bell_expression(table).approx),
+            "bell_value": float(core.bell_expression(table)),
             "correlations": _correlations_payload(table),
             "closed_form_agreement": round10(agreement),
         },
@@ -166,16 +170,18 @@ def cmd_quantum(args) -> int:
 
 def _lhv_summary(args) -> lhv.EnumerationSummary:
     d = core.check_dimension(args.d)
+    if args.samples is not None and args.seed is None:
+        raise BellLabError("--samples requires --seed for a reproducible draw")
+    if args.seed is not None and args.samples is None:
+        raise BellLabError("--seed applies only with --samples")
     mapping = (
         core.OutcomeMapping.difference_mapping(d)
         if args.mapping == "difference"
         else core.OutcomeMapping.sum_mapping(d)
     )
-    if args.samples is not None:
-        if args.seed is None:
-            raise BellLabError("--samples requires --seed for a reproducible draw")
-        return lhv.sample_strategies(d, args.samples, args.seed, mapping)
-    return lhv.enumerate_strategies(d, mapping)
+    if args.samples is None:
+        return lhv.enumerate_strategies(d, mapping)
+    return lhv.sample_strategies(d, args.samples, args.seed, mapping)
 
 
 def _lhv_json(summary: lhv.EnumerationSummary) -> dict:
@@ -399,16 +405,13 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     sign_dev = max(abs(corr[key] - s * q) for key, s in zip(core.PAIR_KEYS, core.PAIR_SIGNS))
     record("correlation-sign-pattern", sign_dev < 1e-12, f"max deviation {sign_dev:.3e}")
 
-    bell = core.bell_expression(table).approx
+    bell = core.bell_expression(table)
     record("quantum-violation", bell > 2.8, f"bell value {bell:.10g}")
 
     mapping = core.OutcomeMapping.sum_mapping(d)
-    assembled = core.bell_from_spin_correlations(table, mapping).approx
+    assembled = core.bell_from_spin_correlations(table, mapping)
     rational = core.random_rational_table(d, rng)
-    exact_match = (
-        core.bell_from_spin_correlations(rational, mapping).exact
-        == core.bell_expression(rational).exact
-    )
+    exact_match = core.bell_from_spin_correlations(rational, mapping) == core.bell_expression(rational)
     assembly_dev = abs(assembled - bell)
     record(
         "spin-assembly-consistency",
@@ -436,7 +439,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
             phases[coord] += delta
             perturbed = core.bell_expression(
                 quantum.born_table(d, quantum.MeasurementSettings(*phases))
-            ).approx
+            )
             worst_gain = max(worst_gain, perturbed - bell)
     record("phase-stationarity", worst_gain <= 1e-8, f"largest gain {worst_gain:.3e}")
 
@@ -456,8 +459,8 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
         value_sets = {label: lhv.case_value_set(label, d) for label in lhv.CASE_LABELS}
         cross_ok = case_ok = True
         for s in strategies:
-            value = lhv.strategy_bell_value(s, d).exact
-            cross_ok &= value == core.bell_expression(lhv.strategy_to_table(s, d)).exact
+            value = lhv.strategy_bell_value(s, d)
+            cross_ok &= value == core.bell_expression(lhv.strategy_to_table(s, d))
             case_ok &= value in value_sets[lhv.classify_strategy(s, d)]
         record(
             "lhv-cross-identity",
@@ -475,7 +478,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
                     (-1) ** (m + n) * t2.p[i - 1, j - 1, m, n] for m in range(2) for n in range(2)
                 )
                 direct += s * e
-            chsh_dev = max(chsh_dev, abs(core.bell_expression(t2).approx - direct))
+            chsh_dev = max(chsh_dev, abs(core.bell_expression(t2) - direct))
         record("two-outcome-reduction", chsh_dev < 1e-12, f"max deviation {chsh_dev:.3e}")
 
     if d == 3:
@@ -484,7 +487,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
             t3 = core.random_table(3, rng)
             for i, j in core.SETTING_PAIRS:
                 _, recombined = core.qutrit_complex_correlation(t3, i, j)
-                tri_dev = max(tri_dev, abs(recombined - core.correlation(t3, i, j).approx))
+                tri_dev = max(tri_dev, abs(recombined - core.correlation(t3, i, j)))
         record("three-outcome-complex-form", tri_dev < 1e-12, f"max deviation {tri_dev:.3e}")
 
     return results
@@ -568,9 +571,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "quantum" and not args.input_file and args.d is None:
-        sys.stderr.write("error: quantum needs --d or --input-file\n")
-        return 2
     try:
         return args.func(args)
     except BellLabError as exc:

@@ -80,22 +80,6 @@ def _orient(i: int, j: int) -> int:
     return PAIR_ORIENT[2 * (i - 1) + (j - 1)]
 
 
-@dataclass(frozen=True)
-class BellValue:
-    """A correlation or Bell value: float approximation plus optional exact rational."""
-
-    approx: float
-    exact: Fraction | None = None
-
-    @classmethod
-    def from_exact(cls, value) -> "BellValue":
-        value = Fraction(value)
-        return cls(float(value), value)
-
-    def __float__(self) -> float:
-        return self.approx
-
-
 class OutcomeMapping:
     """A map g(a, b) of outcome pairs onto {0, ..., d-1}, bijective in each argument.
 
@@ -378,24 +362,24 @@ def _check_pair_normalization(p: np.ndarray, i: int, j: int) -> None:
         )
 
 
-def correlation(t: JointProbabilityTable, i: int, j: int) -> BellValue:
-    """Kernel-weighted correlation Q_ij of one setting pair."""
+def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
+    """Kernel-weighted correlation Q_ij of one setting pair.
+
+    A ``Fraction`` on an exact table, a float on any other.
+    """
     i, j = _check_setting(i), _check_setting(j)
     p = t.subtable(i, j)
     _check_pair_normalization(p, i, j)
     num = correlation_kernel(t.d)[i - 1, j - 1]
     if t.is_exact:
         total = (t.numerators[i - 1, j - 1] * num).sum()
-        return BellValue.from_exact(Fraction(total, t.denominator * (t.d - 1)))
-    return BellValue(float((num * p).sum()) / (t.d - 1))
+        return Fraction(total, t.denominator * (t.d - 1))
+    return float((num * p).sum()) / (t.d - 1)
 
 
-def bell_expression(t: JointProbabilityTable) -> BellValue:
-    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22."""
-    parts = [correlation(t, i, j) for i, j in SETTING_PAIRS]
-    if t.is_exact:
-        return BellValue.from_exact(_pair_sum(part.exact for part in parts))
-    return BellValue(_pair_sum(part.approx for part in parts))
+def bell_expression(t: JointProbabilityTable) -> Fraction | float:
+    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns."""
+    return _pair_sum(correlation(t, i, j) for i, j in SETTING_PAIRS)
 
 
 def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
@@ -448,7 +432,7 @@ def spin_correlation(
     return float(((s - np.arange(t.d)) * dist).sum())
 
 
-def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMapping) -> BellValue:
+def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMapping) -> Fraction | float:
     """Bell expression assembled from mapped spin correlations.
 
     Each pair reads its mapped outcome with the orientation in
@@ -464,10 +448,10 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
     if t.is_exact:
         signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
         total = (t.numerators * (signs * _spin_weights(t.d, mapping.table))).sum()
-        return BellValue.from_exact(Fraction(total, t.denominator * (t.d - 1)))
+        return Fraction(total, t.denominator * (t.d - 1))
     pairs = zip(SETTING_PAIRS, PAIR_ORIENT)
     total = _pair_sum(spin_correlation(t, i, j, mapping, o) for (i, j), o in pairs)
-    return BellValue(total / ((t.d - 1) / 2.0))
+    return total / ((t.d - 1) / 2.0)
 
 
 def difference_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:

@@ -19,14 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import _accel
-from .core import (
-    BellValue,
-    JointProbabilityTable,
-    OutcomeMapping,
-    check_dimension,
-    seeded_rng,
-    spin,
-)
+from .core import JointProbabilityTable, OutcomeMapping, check_dimension, seeded_rng, spin
 from .errors import DimensionError, EnumerationSizeError, MappingError
 
 # largest d counted exhaustively; beyond it callers draw a seeded sample
@@ -56,7 +49,7 @@ def outcome_sums(s) -> tuple[int, int, int, int]:
     return a1 + b1, a1 + b2, a2 + b1, a2 + b2
 
 
-def strategy_bell_value(s, d) -> BellValue:
+def strategy_bell_value(s, d) -> Fraction:
     """Exact Bell value of a deterministic strategy.
 
     Closed form: 2 * [pos(r12) + (r21 mod d) - (r11 mod d) - (r22 mod d) - 1] / (d - 1)
@@ -70,7 +63,7 @@ def strategy_bell_value(s, d) -> BellValue:
     r11, r12, r21, r22 = outcome_sums((a1, a2, b1, b2))
     pos12 = d - ((-r12) % d)
     num = pos12 + (r21 % d) - (r11 % d) - (r22 % d) - 1
-    return BellValue.from_exact(Fraction(2 * num, d - 1))
+    return Fraction(2 * num, d - 1)
 
 
 def classify_strategy(s, d) -> str:
@@ -229,12 +222,24 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     maximizing rows drawn, as ``_accel.row_dtype(d)`` (int16 up to d = 32768).
     The cost is O(n_samples) time and memory, plus a histogram of 4d - 3
     counters: the mapping is evaluated elementwise, and the sum and
-    difference mappings are arithmetic that builds no d x d table.
+    difference mappings are arithmetic that builds no d x d table.  A draw
+    or histogram too large for one array, as for every d beyond int64,
+    raises ``EnumerationSizeError`` before anything is drawn.
     """
     d = check_dimension(d)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise EnumerationSizeError(f"need at least one sample, got {n_samples}")
+    # sizes in bytes of the histogram and the draw, against the largest array
+    max_bytes = np.iinfo(np.intp).max
+    if 8 * (4 * d - 3) > max_bytes:
+        raise EnumerationSizeError(
+            f"d = {d} is too large to sample: its 4d - 3 int64 counters exceed the largest array"
+        )
+    if 8 * 4 * n_samples > max_bytes:
+        raise EnumerationSizeError(
+            f"{n_samples} samples are too many: the (n, 4) int64 draw exceeds the largest array"
+        )
     mapping = _checked_mapping(d, mapping)
     rng = seeded_rng(seed)
     strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)

@@ -27,7 +27,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_two_outcome_chsh_recovery():
     t0 = time.perf_counter()
-    born_value = bl.bell_expression(bl.born_table(2)).approx
+    born_value = bl.bell_expression(bl.born_table(2))
     spin_value = bl.quantum_bell_value(2)
     elapsed = time.perf_counter() - t0
     err_born = abs(born_value - TSIRELSON)
@@ -81,7 +81,7 @@ def test_criterion_03_born_vs_closed_form_random_settings():
 
 def test_criterion_04_qutrit_value_both_paths():
     spin_path = bl.quantum_bell_value(3)
-    born_path = bl.bell_expression(bl.born_table(3)).approx
+    born_path = bl.bell_expression(bl.born_table(3))
     gap = abs(spin_path - born_path)
     err = max(abs(spin_path - QUTRIT_BELL), abs(born_path - QUTRIT_BELL))
     ok = gap < 1e-12 and err < 1e-7
@@ -96,8 +96,8 @@ def test_criterion_05_point_mass_identity_d2_to_d8():
     for d in range(2, 9):
         for s in np.ndindex(d, d, d, d):
             s = tuple(int(x) for x in s)
-            direct = bl.strategy_bell_value(s, d).exact
-            via_table = bl.bell_expression(bl.strategy_to_table(s, d)).exact
+            direct = bl.strategy_bell_value(s, d)
+            via_table = bl.bell_expression(bl.strategy_to_table(s, d))
             if direct != via_table:
                 ok = False
                 break
@@ -117,7 +117,7 @@ def test_criterion_06_qutrit_complex_recombination():
         t = bl.JointProbabilityTable.from_array(x)
         for i, j in core.SETTING_PAIRS:
             _, recombined = bl.qutrit_complex_correlation(t, i, j)
-            worst = max(worst, abs(recombined - bl.correlation(t, i, j).approx))
+            worst = max(worst, abs(recombined - bl.correlation(t, i, j)))
     ok = worst < 1e-12
     report(6, ok, f"complex-moment recombination vs kernel on 100 tables, worst gap {worst:.2e}")
     assert ok
@@ -167,14 +167,14 @@ def test_criterion_09_shift_symmetry():
 def test_criterion_10_canonical_phase_stationarity():
     worst_gain = -np.inf
     for d in range(2, 9):
-        base = bl.bell_expression(bl.born_table(d)).approx
+        base = bl.bell_expression(bl.born_table(d))
         for coord in range(4):
             for delta in (1e-4, -1e-4):
                 phases = list(bl.CANONICAL_PHASES.as_tuple())
                 phases[coord] += delta
                 perturbed = bl.bell_expression(
                     bl.born_table(d, bl.MeasurementSettings(*phases))
-                ).approx
+                )
                 worst_gain = max(worst_gain, perturbed - base)
     ok = worst_gain <= 1e-8
     report(10, ok, f"largest gain from +-1e-4 phase perturbations d=2..8 is {worst_gain:.2e}")

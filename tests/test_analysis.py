@@ -46,9 +46,9 @@ class TestNoise:
 
     def test_bell_value_linear_in_visibility(self):
         d = 3
-        full = bl.bell_expression(bl.born_table(d)).approx
+        full = bl.bell_expression(bl.born_table(d))
         for v in (0.25, 0.5, 0.8):
-            mixed = bl.bell_expression(bl.noisy_table(d, v)).approx
+            mixed = bl.bell_expression(bl.noisy_table(d, v))
             assert abs(mixed - v * full) < 1e-12
 
     def test_frozen_thresholds(self):
@@ -65,7 +65,7 @@ class TestNoise:
 
     def test_threshold_table_value_is_classical_bound(self):
         d = 4
-        at = bl.bell_expression(bl.noisy_table(d, bl.noise_threshold(d))).approx
+        at = bl.bell_expression(bl.noisy_table(d, bl.noise_threshold(d)))
         assert abs(at - 2.0) < 1e-9
 
     def test_threshold_strictly_decreasing(self):
@@ -152,7 +152,7 @@ class TestOptimizer:
             def value_at(phases):
                 key = tuple(phases)
                 if key not in values:
-                    values[key] = bl.bell_expression(bl.born_table(3, bl.MeasurementSettings(*key))).approx
+                    values[key] = bl.bell_expression(bl.born_table(3, bl.MeasurementSettings(*key)))
                 return values[key]
 
             x = list(start.as_tuple())

@@ -58,9 +58,22 @@ class TestQuantumCommand:
         assert reread["source"] == str(path)
 
     def test_missing_arguments(self, capsys):
-        code, _, err = run_cli(capsys, "quantum")
-        assert code == 2
-        assert "quantum needs --d or --input-file" in err
+        for extra in ((), ("--phases", "0,0,0,0")):
+            code, out, err = run_cli(capsys, "quantum", *extra)
+            assert code == 2
+            assert out == ""
+            assert err == "error: quantum needs --d or --input-file\n"
+
+    @pytest.mark.parametrize("extra", [("--d", "3"), ("--phases", "0,0,0,0")])
+    def test_input_file_takes_no_d_or_phases(self, capsys, tmp_path, extra):
+        path = tmp_path / "table.json"
+        path.write_text(run_cli(capsys, "quantum", "--d", "2")[1])
+        # an empty path is still an --input-file, not a missing one
+        for source in (str(path), ""):
+            code, out, err = run_cli(capsys, "quantum", "--input-file", source, *extra)
+            assert code == 2
+            assert out == ""
+            assert err == "error: --input-file cannot be combined with --d or --phases\n"
 
     def test_singular_phases(self, capsys):
         code, _, err = run_cli(capsys, "quantum", "--d", "3", "--phases", "0,0.5,1,0")
@@ -146,6 +159,34 @@ class TestLhvCommand:
         code, _, err = run_cli(capsys, "lhv", "--d", "99", "--samples", "100")
         assert code == 2
         assert "--seed" in err
+
+    def test_seed_requires_samples(self, capsys):
+        code, out, err = run_cli(capsys, "lhv", "--d", "3", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed applies only with --samples\n"
+
+    @pytest.mark.parametrize(
+        "d, samples",
+        [
+            ("100000000000000000000", "2"),  # d beyond int64
+            ("9223372036854775807", "2"),
+            ("2305843009213693952", "2"),  # 4d - 3 counters beyond the largest array
+            ("3", "1152921504606846976"),  # an (n, 4) draw beyond the largest array
+        ],
+    )
+    def test_oversized_sample(self, capsys, d, samples):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "lhv", "--d", d, "--samples", samples, "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "largest array" in err
+        assert peak < 2**20
 
     def test_sampled_run(self, capsys):
         code, out, _ = run_cli(

@@ -329,7 +329,7 @@ class TestJointProbabilityTable:
         t = bl.JointProbabilityTable.from_fractions((subs[:2], subs[2:]))
         assert t.denominator == np.prod([Fraction(q) for q in primes]) > 2**63
         assert t.numerators.dtype == object
-        assert bl.bell_expression(t).exact == _fraction_bell_oracle(subs)
+        assert bl.bell_expression(t) == _fraction_bell_oracle(subs)
 
     def test_from_fractions_requires_exact_normalization(self):
         half = Fraction(1, 2)
@@ -375,7 +375,7 @@ class TestJointProbabilityTable:
         t = random_rational_table(5, rng)
         direct = bl.JointProbabilityTable(t.d, t.p, t.numerators)
         assert direct.denominator == t.denominator == int(t.numerators[0, 0].sum())
-        assert bl.bell_expression(direct).exact == bl.bell_expression(t).exact
+        assert bl.bell_expression(direct) == bl.bell_expression(t)
         assert bl.JointProbabilityTable(t.d, t.p).denominator is None
         with pytest.raises(TypeError):
             bl.JointProbabilityTable(t.d, t.p, t.numerators, 1)
@@ -413,22 +413,44 @@ class TestCorrelationAndBell:
     def test_uniform_table_scores_zero_exactly(self):
         for d in (2, 3, 6):
             v = bl.bell_expression(uniform_table(d))
-            assert v.exact == 0
+            assert v == 0 and type(v) is Fraction
 
     def test_point_mass_values(self):
         # all outcomes zero: every pair contributes weight 1, signs 1+1-1+1
         t = point_mass_table(3, 0, 0)
-        assert bl.bell_expression(t).exact == 2
+        assert bl.bell_expression(t) == 2
 
     def test_exact_and_float_paths_agree(self, rng):
         for d in (2, 3, 5):
             t = random_rational_table(d, rng)
             exact = bl.bell_expression(t)
             floats = bl.bell_expression(bl.JointProbabilityTable.from_array(t.p))
-            assert exact.exact is not None
-            assert floats.exact is None
-            assert abs(exact.approx - floats.approx) < 1e-12
-            assert float(exact) == exact.approx
+            assert type(exact) is Fraction
+            assert type(floats) is float
+            assert abs(float(exact) - floats) < 1e-12
+
+    @given(st.integers(2, 8), st.integers(0, 2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_value_types_follow_the_table(self, d, seed, data):
+        rng = np.random.default_rng(seed)
+        s = tuple(data.draw(st.integers(0, d - 1)) for _ in range(4))
+        mapping = bl.OutcomeMapping.sum_mapping(d)
+
+        def values(t):
+            kind = Fraction if t.is_exact else float
+            out = [bl.correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+            out += [bl.bell_expression(t), bl.bell_from_spin_correlations(t, mapping)]
+            assert all(type(v) is kind for v in out)
+            return out
+
+        values(random_table(d, rng))
+        for t in (random_rational_table(d, rng), bl.strategy_to_table(s, d)):
+            exact = values(t)
+            floats = values(bl.JointProbabilityTable.from_array(t.p))
+            assert max(abs(f - float(e)) for e, f in zip(exact, floats)) < 1e-12
+        value = bl.strategy_bell_value(s, d)
+        assert type(value) is Fraction
+        assert value == bl.bell_expression(bl.strategy_to_table(s, d))
 
     def test_denormalized_pair_rejected_at_evaluation(self):
         x = np.full((2, 2, 2, 2), 0.25)
@@ -447,7 +469,7 @@ class TestCorrelationAndBell:
         rng = np.random.default_rng(d * 64 + c_a * 8 + c_b)
         t = random_rational_table(d, rng)
         shifted = relabel(t, c_a % d, (-c_a) % d)
-        assert bl.bell_expression(shifted).exact == bl.bell_expression(t).exact
+        assert bl.bell_expression(shifted) == bl.bell_expression(t)
 
     @given(st.integers(2, 8), st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -475,7 +497,7 @@ class TestCorrelationAndBell:
             ]
             assert exact == moved
             assert np.array_equal((u.numerators / u.denominator).astype(float), u.p)
-            assert bl.bell_expression(u).exact == _fraction_bell_oracle(moved)
+            assert bl.bell_expression(u) == _fraction_bell_oracle(moved)
 
     def test_correlation_weights_match_manual_sum(self, rng):
         d = 4
@@ -487,7 +509,7 @@ class TestCorrelationAndBell:
                 for m in range(d)
                 for n in range(d)
             )
-            assert abs(bl.correlation(t, i, j).approx - manual) < 1e-12
+            assert abs(bl.correlation(t, i, j) - manual) < 1e-12
 
     @given(exact_tables())
     @settings(max_examples=60, deadline=None)
@@ -495,18 +517,18 @@ class TestCorrelationAndBell:
         for i, j in core.SETTING_PAIRS:
             assert type(t.denominator) is int
             assert int(t.numerators[i - 1, j - 1].sum()) == t.denominator
-        value = bl.bell_expression(t).exact
+        value = bl.bell_expression(t)
         paired = sum(
-            s * bl.correlation(t, i, j).exact for (i, j), s in zip(core.SETTING_PAIRS, core.PAIR_SIGNS)
+            s * bl.correlation(t, i, j) for (i, j), s in zip(core.SETTING_PAIRS, core.PAIR_SIGNS)
         )
         assert value == paired
-        assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.sum_mapping(t.d)).exact
+        assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.sum_mapping(t.d))
 
     def test_bell_combination_signs(self, rng):
         t = random_table(3, rng)
-        q = {(i, j): bl.correlation(t, i, j).approx for i, j in core.SETTING_PAIRS}
+        q = {(i, j): bl.correlation(t, i, j) for i, j in core.SETTING_PAIRS}
         combo = q[1, 1] + q[1, 2] - q[2, 1] + q[2, 2]
-        assert abs(bl.bell_expression(t).approx - combo) < 1e-12
+        assert abs(bl.bell_expression(t) - combo) < 1e-12
 
 
 class TestSpinAssembly:
@@ -538,10 +560,7 @@ class TestSpinAssembly:
         for d in (2, 3, 5, 7):
             g = bl.OutcomeMapping.sum_mapping(d)
             t = random_rational_table(d, rng)
-            assert (
-                bl.bell_from_spin_correlations(t, g).exact
-                == bl.bell_expression(t).exact
-            )
+            assert bl.bell_from_spin_correlations(t, g) == bl.bell_expression(t)
 
     @pytest.mark.parametrize("mapping_d", [4, 2])
     def test_exact_assembly_rejects_mapping_of_other_size(self, mapping_d):
@@ -554,7 +573,7 @@ class TestSpinAssembly:
         for d in (2, 3, 4, 6):
             g = bl.OutcomeMapping.difference_mapping(d)
             t = random_table(d, rng)
-            assembled = bl.bell_from_spin_correlations(t, g).approx
+            assembled = bl.bell_from_spin_correlations(t, g)
             assert abs(assembled - bl.cglmp_expression(t)) < 1e-12
 
 
@@ -617,7 +636,7 @@ class TestQutritComplexForm:
             for i, j in core.SETTING_PAIRS:
                 moment, recombined = bl.qutrit_complex_correlation(t, i, j)
                 assert isinstance(moment, complex)
-                assert abs(recombined - bl.correlation(t, i, j).approx) < 1e-12
+                assert abs(recombined - bl.correlation(t, i, j)) < 1e-12
 
     def test_moment_is_unit_bounded(self, rng):
         t = random_table(3, rng)

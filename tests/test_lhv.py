@@ -27,7 +27,7 @@ def all_strategies(d):
 class TestStrategyValue:
     def test_all_zero_strategy(self):
         for d in (2, 3, 7):
-            assert bl.strategy_bell_value((0, 0, 0, 0), d).exact == 2
+            assert bl.strategy_bell_value((0, 0, 0, 0), d) == 2
             assert bl.classify_strategy((0, 0, 0, 0), d) == "Case1i"
 
     def test_frozen_examples_d3(self):
@@ -39,7 +39,7 @@ class TestStrategyValue:
         }
         for s, (label, value) in cases.items():
             assert bl.classify_strategy(s, 3) == label
-            assert bl.strategy_bell_value(s, 3).exact == value
+            assert bl.strategy_bell_value(s, 3) == value
 
     def test_outcome_sums(self):
         assert bl.outcome_sums((1, 2, 3, 4)) == (4, 5, 5, 6)
@@ -67,15 +67,15 @@ class TestStrategyValue:
     @settings(max_examples=60, deadline=None)
     def test_closed_form_equals_table_evaluation(self, d, data):
         s = tuple(data.draw(st.integers(0, d - 1)) for _ in range(4))
-        direct = bl.strategy_bell_value(s, d).exact
-        via_table = bl.bell_expression(bl.strategy_to_table(s, d)).exact
+        direct = bl.strategy_bell_value(s, d)
+        via_table = bl.bell_expression(bl.strategy_to_table(s, d))
         assert direct == via_table
 
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_value_lies_in_class_value_set(self, d, data):
         s = tuple(data.draw(st.integers(0, d - 1)) for _ in range(4))
-        value = bl.strategy_bell_value(s, d).exact
+        value = bl.strategy_bell_value(s, d)
         assert value in bl.lhv_value_set(d)
         assert value in bl.case_value_set(bl.classify_strategy(s, d), d)
 
@@ -109,7 +109,7 @@ class TestValueSets:
         seen3 = {}
         for s in all_strategies(3):
             label = bl.classify_strategy(s, 3)
-            seen3.setdefault(label, set()).add(bl.strategy_bell_value(s, 3).exact)
+            seen3.setdefault(label, set()).add(bl.strategy_bell_value(s, 3))
         for label, values in seen3.items():
             assert values <= bl.case_value_set(label, 3)
         assert seen3["Case2iii"] == {F(-1)}
@@ -117,7 +117,7 @@ class TestValueSets:
         seen4 = {}
         for s in all_strategies(4):
             label = bl.classify_strategy(s, 4)
-            seen4.setdefault(label, set()).add(bl.strategy_bell_value(s, 4).exact)
+            seen4.setdefault(label, set()).add(bl.strategy_bell_value(s, 4))
         for label, values in seen4.items():
             assert values == bl.case_value_set(label, 4)
 
@@ -162,7 +162,7 @@ class TestEnumeration:
         for d in (2, 3):
             hist = {}
             for s in all_strategies(d):
-                v = bl.bell_expression(bl.strategy_to_table(s, d)).exact
+                v = bl.bell_expression(bl.strategy_to_table(s, d))
                 hist[v] = hist.get(v, 0) + 1
             assert bl.enumerate_strategies(d).histogram == hist
 
@@ -173,7 +173,7 @@ class TestEnumeration:
             assert len(summary.argmax) == summary.argmax_count
             for row in summary.argmax:
                 s = tuple(int(x) for x in row)
-                assert bl.strategy_bell_value(s, d).exact == summary.max_value
+                assert bl.strategy_bell_value(s, d) == summary.max_value
 
     def test_custom_mapping_still_bounded_by_two(self):
         table = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
@@ -248,7 +248,7 @@ class TestSampling:
         assert len(rows) == summary.argmax_count > 0
         assert rows.min() >= 0 and rows.max() < d
         for row in rows:
-            assert bl.strategy_bell_value(row, d).exact == summary.max_value == 2
+            assert bl.strategy_bell_value(row, d) == summary.max_value == 2
 
 
 # (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
@@ -368,6 +368,6 @@ class TestBackends:
         case = np.empty(d**4, np.int8)
         _accel.fill_strategy_arrays(d, g, num, case, 0, d)
         for idx, s in enumerate(all_strategies(d)):
-            expect = bl.strategy_bell_value(s, d).exact
+            expect = bl.strategy_bell_value(s, d)
             assert F(2 * int(num[idx]), d - 1) == expect
             assert lhv.CASE_LABELS[case[idx]] == bl.classify_strategy(s, d)

@@ -168,17 +168,17 @@ class TestCanonicalValues:
 
     def test_spin_path_equals_table_path(self):
         for d in range(2, 9):
-            table_value = bl.bell_expression(bl.born_table(d)).approx
+            table_value = bl.bell_expression(bl.born_table(d))
             assert abs(bl.quantum_bell_value(d) - table_value) < 1e-12
 
     def test_correlation_sign_pattern(self):
         for d in (2, 3, 5):
             t = bl.born_table(d)
             q = bl.canonical_correlation(d)
-            assert abs(bl.correlation(t, 1, 1).approx - q) < 1e-12
-            assert abs(bl.correlation(t, 1, 2).approx - q) < 1e-12
-            assert abs(bl.correlation(t, 2, 1).approx + q) < 1e-12
-            assert abs(bl.correlation(t, 2, 2).approx - q) < 1e-12
+            assert abs(bl.correlation(t, 1, 1) - q) < 1e-12
+            assert abs(bl.correlation(t, 1, 2) - q) < 1e-12
+            assert abs(bl.correlation(t, 2, 1) + q) < 1e-12
+            assert abs(bl.correlation(t, 2, 2) - q) < 1e-12
 
 
 class TestMeasurementSettings:
