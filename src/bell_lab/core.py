@@ -13,14 +13,15 @@ I = Q_11 + Q_12 - Q_21 + Q_22.
 
 All kernel weights are rationals with denominator d - 1 (after doubling), so
 correlations of exactly-represented tables can be evaluated in exact rational
-arithmetic alongside the floating-point path.
+arithmetic alongside the floating-point path.  A table is checked once, when
+it is made; the evaluators take it as a valid behaviour.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Rational
@@ -50,6 +51,12 @@ def check_dimension(d) -> int:
     if d < 2:
         raise DimensionError(f"outcome count must be at least 2, got {d}")
     return d
+
+
+def check_array_size(d: int, nbytes: int) -> None:
+    """Raise ``DimensionError`` if an array of ``nbytes`` bytes for d exceeds numpy's largest array."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise DimensionError(f"d = {d} is too large: its arrays exceed the largest array")
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -128,6 +135,7 @@ class OutcomeMapping:
     def table(self) -> np.ndarray:
         """The read-only int64 d x d table; a named mapping builds it on first read."""
         if self._table is None:
+            check_array_size(self.d, 8 * self.d**2)
             a = np.arange(self.d)
             table = self(a[:, None], a)
             table.setflags(write=False)
@@ -161,57 +169,73 @@ def correlation_kernel(d) -> np.ndarray:
     return kern
 
 
-def _validate_float_table(p: np.ndarray, d: int, tol: float) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2, 2, d, d):
-        raise TableFormatError(f"expected shape (2, 2, {d}, {d}), got {p.shape}")
-    if not np.isfinite(p).all():
-        raise NormalizationError("table contains non-finite entries")
-    if p.min() < -tol:
-        raise NormalizationError(f"table contains negative entries (min {p.min():.3e})")
-    sums = p.sum(axis=(2, 3))
-    worst = np.abs(sums - 1.0).max()
-    if worst > tol:
-        raise NormalizationError(
-            f"each setting pair must sum to 1 (worst deviation {worst:.3e}, tolerance {tol:.0e})"
-        )
-    p = p.copy()
-    p.setflags(write=False)
-    return p
-
-
 @dataclass(frozen=True)
 class JointProbabilityTable:
     """Joint outcome distributions for the four setting pairs.
 
     ``p[i-1, j-1, m, n]`` is the probability that the first party gets m and
-    the second gets n when settings (i, j) are used.  Exact tables, built by
-    ``from_fractions``, also carry ``numerators``: a read-only (2, 2, d, d)
-    object array of Python ints over one int ``denominator``, the lcm of the
-    entry denominators, so that ``p == numerators / denominator`` and each
-    setting pair's numerators sum to the denominator.  The denominator is not
-    a constructor argument: it is read once from the numerators of pair (1,1)
-    when the table is made, and stored.  Python ints keep
-    correlations of point masses, uniform noise and rational mixtures exact
-    even when the denominator passes 2**63.
+    the second gets n when settings (i, j) are used.  The constructor, which
+    every route to a table calls, is the one place a table is checked: d, the
+    (2, 2, d, d) shape, finite non-negative entries and pair sums of 1 within
+    ``_tol`` (set only by ``from_array``).  It stores read-only copies.  An
+    exact table is made from ``numerators`` alone, Python ints whose four
+    pairs sum to one ``denominator``, and its ``p`` is computed from them.
+    Python ints keep correlations of point masses, uniform noise and rational
+    mixtures exact even when the denominator passes 2**63.
     """
 
     d: int
-    p: np.ndarray
+    p: np.ndarray | None = None
     numerators: np.ndarray | None = None
+    _: KW_ONLY
+    _tol: InitVar[float] = INTERNAL_TOL
     denominator: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.numerators is not None:
-            object.__setattr__(self, "denominator", int(self.numerators[0, 0].sum()))
+    def __post_init__(self, _tol: float):
+        d = check_dimension(self.d)
+        shape = (2, 2, d, d)
+        if self.numerators is None:
+            p = np.asarray(self.p, dtype=float)
+            if p.shape != shape:
+                raise TableFormatError(f"expected shape {shape}, got {p.shape}")
+            if not np.isfinite(p).all():
+                raise NormalizationError("table contains non-finite entries")
+            if p.min() < -_tol:
+                raise NormalizationError(f"table contains negative entries (min {p.min():.3e})")
+            worst = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
+            if worst > _tol:
+                raise NormalizationError(
+                    f"each setting pair must sum to 1 (worst deviation {worst:.3e}, tolerance {_tol:.0e})"
+                )
+            p = p.copy()
+        else:
+            if self.p is not None:
+                raise TypeError("an exact table takes numerators only: p is computed from them")
+            numerators = np.array(self.numerators, dtype=object)
+            if numerators.shape != shape or set(map(type, numerators.flat)) != {int}:
+                raise TableFormatError(f"expected {shape} Python-int numerators, got {numerators.shape}")
+            if numerators.min() < 0:
+                raise NormalizationError("exact table contains negative entries")
+            sums = numerators.sum(axis=(2, 3))
+            denominator = sums[0, 0]
+            for si, sj in np.ndindex(2, 2):
+                if sums[si, sj] != denominator or denominator == 0:
+                    raise NormalizationError(
+                        f"setting pair ({si + 1},{sj + 1}) sums to "
+                        f"{Fraction(sums[si, sj], denominator or 1)}, expected 1"
+                    )
+            numerators.setflags(write=False)
+            p = (numerators / denominator).astype(float)
+            vars(self).update(numerators=numerators, denominator=denominator)  # frozen: set via __dict__
+        p.setflags(write=False)
+        vars(self).update(d=d, p=p)
 
     @classmethod
     def from_array(cls, p, tol: float = INTERNAL_TOL) -> "JointProbabilityTable":
         p = np.asarray(p, dtype=float)
         if p.ndim != 4:
             raise TableFormatError(f"expected a 4-axis array, got {p.ndim} axes")
-        d = check_dimension(p.shape[-1])
-        return cls(d, _validate_float_table(p, d, tol))
+        return cls(p.shape[-1], p, _tol=tol)
 
     @classmethod
     def from_fractions(cls, tables) -> "JointProbabilityTable":
@@ -241,19 +265,10 @@ class JointProbabilityTable:
             denominator = math.lcm(*(int(q.denominator) for q in flat))
             nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
             numerators = np.array(nums, dtype=object).reshape(entries.shape)
-        if numerators.min() < 0:
-            raise NormalizationError("exact table contains negative entries")
-        sums = numerators.sum(axis=(2, 3))
-        for si, sj in np.ndindex(2, 2):
-            if sums[si, sj] != denominator:
-                raise NormalizationError(
-                    f"setting pair ({si + 1},{sj + 1}) sums to "
-                    f"{Fraction(sums[si, sj], denominator)}, expected 1"
-                )
-        p = (numerators / denominator).astype(float)
-        p.setflags(write=False)
-        numerators.setflags(write=False)
-        return cls(d, p, numerators)
+        first = Fraction(numerators[0, 0].sum(), denominator)
+        if first != 1:
+            raise NormalizationError(f"setting pair (1,1) sums to {first}, expected 1")
+        return cls(d, numerators=numerators)
 
     @property
     def is_exact(self) -> bool:
@@ -270,15 +285,9 @@ class JointProbabilityTable:
         """
         k = np.arange(self.d)
         index = np.ix_(range(2), range(2), k, (-k) % self.d)
-
-        def take(a):
-            if a is None:
-                return None
-            a = a[index]
-            a.setflags(write=False)
-            return a
-
-        return JointProbabilityTable(self.d, take(self.p), take(self.numerators))
+        if self.is_exact:
+            return JointProbabilityTable(self.d, numerators=self.numerators[index])
+        return JointProbabilityTable(self.d, self.p[index])
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,27 +363,17 @@ def load_table(path) -> JointProbabilityTable:
     return JointProbabilityTable.from_json_dict(obj)
 
 
-def _check_pair_normalization(p: np.ndarray, i: int, j: int) -> None:
-    dev = abs(float(p.sum()) - 1.0)
-    if dev > FILE_TOL:
-        raise NormalizationError(
-            f"setting pair ({i},{j}) sums to 1{dev:+.3e}; refuse to evaluate"
-        )
-
-
 def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
     """Kernel-weighted correlation Q_ij of one setting pair.
 
     A ``Fraction`` on an exact table, a float on any other.
     """
     i, j = _check_setting(i), _check_setting(j)
-    p = t.subtable(i, j)
-    _check_pair_normalization(p, i, j)
     num = correlation_kernel(t.d)[i - 1, j - 1]
     if t.is_exact:
         total = (t.numerators[i - 1, j - 1] * num).sum()
         return Fraction(total, t.denominator * (t.d - 1))
-    return float((num * p).sum()) / (t.d - 1)
+    return float((num * t.p[i - 1, j - 1]).sum()) / (t.d - 1)
 
 
 def bell_expression(t: JointProbabilityTable) -> Fraction | float:
@@ -394,13 +393,11 @@ def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
     """
     if t.d != 3:
         raise DimensionError(f"complex correlation is specific to 3 outcomes, got d={t.d}")
-    i, j = _check_setting(i), _check_setting(j)
     p = t.subtable(i, j)
-    _check_pair_normalization(p, i, j)
     alpha = np.exp(2j * np.pi / 3)
     m, n = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     moment = complex((alpha ** (m + n) * p).sum())
-    return moment, moment.real + _orient(i, j) * moment.imag / np.sqrt(3.0)
+    return moment, moment.real + _orient(int(i), int(j)) * moment.imag / np.sqrt(3.0)
 
 
 def mapped_spin_distribution(
@@ -412,15 +409,16 @@ def mapped_spin_distribution(
     i.e. that the synthetic spin projection S_z = S - k is observed (spin
     values run from +S at k = 0 down to -S at k = d - 1).
     """
-    i, j = _check_setting(i), _check_setting(j)
     if sig not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sig!r}")
     if mapping.d != t.d:
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
-    p = t.subtable(i, j)
-    _check_pair_normalization(p, i, j)
-    classes = (sig * mapping.table) % t.d
-    return np.bincount(classes.ravel(), weights=p.ravel(), minlength=t.d)
+    return _mapped_distribution(t.subtable(i, j), mapping, sig)
+
+
+def _mapped_distribution(p: np.ndarray, mapping: OutcomeMapping, sig: int) -> np.ndarray:
+    classes = (sig * mapping.table) % mapping.d
+    return np.bincount(classes.ravel(), weights=p.ravel(), minlength=mapping.d)
 
 
 def spin_correlation(
@@ -449,8 +447,9 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
         signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
         total = (t.numerators * (signs * _spin_weights(t.d, mapping.table))).sum()
         return Fraction(total, t.denominator * (t.d - 1))
-    pairs = zip(SETTING_PAIRS, PAIR_ORIENT)
-    total = _pair_sum(spin_correlation(t, i, j, mapping, o) for (i, j), o in pairs)
+    spins = (t.d - 1) / 2.0 - np.arange(t.d)
+    dists = (_mapped_distribution(p, mapping, o) for p, o in zip(t.p.reshape(4, t.d, t.d), PAIR_ORIENT))
+    total = _pair_sum(float((spins * dist).sum()) for dist in dists)
     return total / ((t.d - 1) / 2.0)
 
 
@@ -479,11 +478,8 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
     where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
     folded form of the spin correlation built on outcome differences.
     """
-    i, j = _check_setting(i), _check_setting(j)
-    _check_pair_normalization(t.subtable(i, j), i, j)
-    d = t.d
-    e = _orient(i, j)
-    diff = difference_distribution(t, i, j).tolist()
+    diff = difference_distribution(t, i, j).tolist()  # subtable checks i and j
+    d, e = t.d, _orient(int(i), int(j))
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1)

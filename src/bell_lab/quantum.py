@@ -17,6 +17,7 @@ from .core import (
     JointProbabilityTable,
     OutcomeMapping,
     SETTING_PAIRS,
+    check_array_size,
     check_dimension,
     mapped_spin_distribution,
 )
@@ -60,9 +61,10 @@ def measurement_basis(d, phase: float) -> np.ndarray:
 
     U[m, l] = exp(i 2 pi l (m + phase) / d) / sqrt(d).  A phase too large for
     the arithmetic gives non-finite entries without a warning; the table built
-    from them is refused by ``JointProbabilityTable.from_array``.
+    from them is refused by the ``JointProbabilityTable`` constructor.
     """
     d = check_dimension(d)
+    check_array_size(d, 16 * d**2)
     l = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(2j * np.pi * np.outer(np.arange(d) + phase, l) / d) / np.sqrt(d)
@@ -143,6 +145,7 @@ def spin_projection_distribution(d) -> np.ndarray:
     distribution of any canonical setting pair and sums to 1.
     """
     d = check_dimension(d)
+    check_array_size(d, 8 * d)
     k = np.arange(d)
     return 1.0 / (2 * d ** 2 * np.sin(np.pi * (k + 0.25) / d) ** 2)
 

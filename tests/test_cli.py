@@ -455,6 +455,20 @@ class TestUsage:
         code, _, _ = run_cli(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["quantum", "noise", "cglmp", "check", "optimize"])
+    @pytest.mark.parametrize("d", ["100000000000000000000", "4611686018427387904"])
+    def test_dimension_too_large_for_an_array(self, capsys, command, d):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--d", d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
+        assert peak < 2**20
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["bell_lab", "bell_lab.cli"])

@@ -5,7 +5,9 @@ brute-force evaluators (exact rational arithmetic and 40-digit mpmath).
 """
 
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +71,9 @@ def relabel(t, a_shift, b_shift):
     """Cyclic relabelling m -> m + a_shift, n -> n + b_shift (mod d), exact parts included."""
     k = np.arange(t.d)
     index = np.ix_(range(2), range(2), (k - a_shift) % t.d, (k - b_shift) % t.d)
-    return bl.JointProbabilityTable(t.d, t.p[index], None if t.numerators is None else t.numerators[index])
+    if t.is_exact:
+        return bl.JointProbabilityTable(t.d, numerators=t.numerators[index])
+    return bl.JointProbabilityTable(t.d, t.p[index])
 
 
 def _point_masses(dtype, d, cells):
@@ -123,6 +127,78 @@ def exact_tables(draw):
     if kind == "conjugate":
         return t.conjugate_second_party()
     return t
+
+
+# the error each flaw raises; on the exact routes a NaN is not an entry at all
+FLAWS = {
+    "unnormalised": NormalizationError,
+    "negative": NormalizationError,
+    "non-finite": NormalizationError,
+    "shape": TableFormatError,
+}
+NOT_AN_ENTRY = {
+    ("exact constructor", "non-finite"): TableFormatError,
+    ("from_fractions", "non-finite"): TypeError,
+}
+
+
+@st.composite
+def flawed_tables(draw):
+    """(d, flaw, denominator, valid numerators, flawed numerators).
+
+    Every setting pair is a permutation of one weight list, so the valid
+    numerators share their pair sum.  The flawed copy adds 1 to an entry of
+    one pair, moves mass so that an entry is -1, sets an entry to NaN, or is
+    made for d + 1 outcomes.
+    """
+    d = draw(st.integers(2, 8))
+    flaw = draw(st.sampled_from(sorted(FLAWS)))
+    e = d + 1 if flaw == "shape" else d
+    weights = draw(st.lists(st.integers(0, 5), min_size=e * e, max_size=e * e).filter(any))
+    pairs = [draw(st.permutations(weights)) for _ in range(4)]
+    valid = np.array(pairs, dtype=object).reshape(2, 2, e, e)
+    bad = valid.copy()
+    k = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    cell = st.tuples(st.integers(0, e - 1), st.integers(0, e - 1))
+    m, n = draw(cell)
+    if flaw == "unnormalised":
+        bad[k + (m, n)] += 1
+    elif flaw == "negative":
+        m2, n2 = draw(cell.filter(lambda c: c != (m, n)))
+        bad[k + (m2, n2)] += bad[k + (m, n)] + 1
+        bad[k + (m, n)] = -1
+    elif flaw == "non-finite":
+        bad[k + (m, n)] = float("nan")
+    return d, flaw, sum(weights), valid, bad
+
+
+def _routes(d, den, numerators):
+    """Build the table of ``numerators`` over ``den`` by every route.
+
+    Routes that read d from the array get it cut to d columns, so a table for
+    d + 1 outcomes reaches them with a shape that does not match its d.
+    """
+    cut = numerators[..., :d]
+    p = np.array([float(x) / den for x in numerators.ravel()]).reshape(numerators.shape)
+    doc = {"d": d, "tables": dict(zip(core.PAIR_KEYS, p.reshape(4, *p.shape[2:]).tolist()))}
+    fractions = [x if isinstance(x, float) else Fraction(x, den) for x in cut.flat]
+
+    def load():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.json"
+            path.write_text(json.dumps(doc))
+            return bl.load_table(path)
+
+    return {
+        "constructor": lambda: bl.JointProbabilityTable(d, p),
+        "from_array": lambda: bl.JointProbabilityTable.from_array(p[..., :d]),
+        "from_json_dict": lambda: bl.JointProbabilityTable.from_json_dict(doc),
+        "load_table": load,
+        "exact constructor": lambda: bl.JointProbabilityTable(d, numerators=numerators),
+        "from_fractions": lambda: bl.JointProbabilityTable.from_fractions(
+            np.array(fractions, dtype=object).reshape(cut.shape)
+        ),
+    }
 
 
 def _exact_build(tables):
@@ -373,12 +449,24 @@ class TestJointProbabilityTable:
 
     def test_denominator_is_read_from_the_numerators(self, rng):
         t = random_rational_table(5, rng)
-        direct = bl.JointProbabilityTable(t.d, t.p, t.numerators)
+        direct = bl.JointProbabilityTable(t.d, numerators=t.numerators)
         assert direct.denominator == t.denominator == int(t.numerators[0, 0].sum())
+        assert direct.p.tobytes() == t.p.tobytes()
         assert bl.bell_expression(direct) == bl.bell_expression(t)
         assert bl.JointProbabilityTable(t.d, t.p).denominator is None
+        # neither the denominator nor a second copy of the entries is an argument
         with pytest.raises(TypeError):
-            bl.JointProbabilityTable(t.d, t.p, t.numerators, 1)
+            bl.JointProbabilityTable(t.d, None, t.numerators, 1)
+        with pytest.raises(TypeError):
+            bl.JointProbabilityTable(t.d, t.p, t.numerators)
+
+    def test_denormalized_pair_rejected_at_construction(self):
+        x = np.full((2, 2, 2, 2), 0.25)
+        bl.JointProbabilityTable(2, x.copy(), None)
+        x2 = x.copy()
+        x2[1, 0] *= 1.001
+        with pytest.raises(NormalizationError):
+            bl.JointProbabilityTable(2, x2, None)
 
     def test_json_round_trip_preserves_entries(self, rng):
         t = random_table(4, rng)
@@ -407,6 +495,45 @@ class TestJointProbabilityTable:
         t = random_table(4, rng)
         back = t.conjugate_second_party().conjugate_second_party()
         assert np.array_equal(back.p, t.p)
+
+    @given(flawed_tables())
+    @settings(max_examples=120, deadline=None)
+    def test_every_route_checks_the_table(self, case):
+        d, flaw, den, valid, bad = case
+        e = valid.shape[-1]
+        for route, build in _routes(e, den, valid).items():
+            t = build()
+            assert t.d == e and not t.p.flags.writeable, route
+            if t.is_exact:
+                entries = [Fraction(x, t.denominator) for x in t.numerators.flat]
+                assert entries == [Fraction(x, den) for x in valid.flat]
+            for u in (t, t.conjugate_second_party()):
+                if u.is_exact:
+                    assert u.p.tobytes() == (u.numerators / u.denominator).astype(float).tobytes()
+        for route, build in _routes(d, den, bad).items():
+            with pytest.raises(NOT_AN_ENTRY.get((route, flaw), FLAWS[flaw])):
+                build()
+
+    def test_tables_that_evaluators_used_to_take(self):
+        # edited numerators used to sit next to the p of the original table
+        t = point_mass_table(3, 0, 0)
+        edited = t.numerators.copy()
+        edited[1, 1, 0, 0], edited[1, 1, 0, 1] = 0, 1
+        with pytest.raises(TypeError):
+            bl.JointProbabilityTable(3, t.p, edited)
+        u = bl.JointProbabilityTable(3, numerators=edited)
+        assert bl.bell_expression(u) == bl.bell_expression(bl.JointProbabilityTable.from_array(u.p)) == 1
+        edited[1, 1, 0, 1] = 2
+        with pytest.raises(NormalizationError):
+            bl.JointProbabilityTable(3, numerators=edited)
+        # a -0.75 entry in a pair that sums to 1
+        x = np.full((2, 2, 2, 2), 0.25)
+        x[0, 0, 0, 0], x[0, 0, 1, 1] = -0.75, 1.25
+        with pytest.raises(NormalizationError, match="negative"):
+            bl.JointProbabilityTable(2, x)
+        # 2 x 2 pairs given as a d = 3 table
+        with pytest.raises(TableFormatError):
+            bl.JointProbabilityTable(3, np.full((2, 2, 2, 2), 0.25))
 
 
 class TestCorrelationAndBell:
@@ -451,16 +578,6 @@ class TestCorrelationAndBell:
         value = bl.strategy_bell_value(s, d)
         assert type(value) is Fraction
         assert value == bl.bell_expression(bl.strategy_to_table(s, d))
-
-    def test_denormalized_pair_rejected_at_evaluation(self):
-        x = np.full((2, 2, 2, 2), 0.25)
-        t = bl.JointProbabilityTable(2, x.copy(), None)
-        x2 = x.copy()
-        x2[1, 0] *= 1.001
-        bad = bl.JointProbabilityTable(2, x2, None)
-        bl.bell_expression(t)
-        with pytest.raises(NormalizationError):
-            bl.bell_expression(bad)
 
     @given(st.integers(2, 8), st.integers(0, 7), st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
