@@ -1,4 +1,4 @@
-"""Noise robustness, phase optimization, consistency checks, and dimension scans."""
+"""Noise robustness and CGLMP cross-check of a given table, phase optimization, dimension scans."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from .core import (
     JointProbabilityTable,
     bell_expression,
     cglmp_expression,
+    check_array_size,
     check_dimension,
 )
 from .lhv import enumerate_strategies
@@ -26,46 +27,38 @@ from .quantum import (
 SCAN_LHV_LIMIT = 16
 
 
-def noisy_table(d, visibility: float, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
-    """Entangled-state table mixed with uniform noise at the given visibility.
+def noisy_table(table: JointProbabilityTable, visibility: float) -> JointProbabilityTable:
+    """The table mixed with uniform noise at the given visibility.
 
-    visibility 1 returns the quantum table, 0 the uniform table; the Bell
-    expression is linear in the visibility because the uniform part has zero
-    correlation.
+    visibility 1 returns the table's probabilities, 0 the uniform table; the
+    Bell expression is linear in the visibility because the uniform part has
+    zero correlation.
     """
-    return _mix_with_noise(born_table(d, settings), visibility)
-
-
-def _mix_with_noise(quantum: JointProbabilityTable, visibility: float) -> JointProbabilityTable:
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    p = v * quantum.p + (1.0 - v) / quantum.d ** 2
+    p = v * table.p + (1.0 - v) / table.d ** 2
     return JointProbabilityTable.from_array(p)
 
 
 def noise_threshold(d) -> float:
-    """Visibility where the noisy Bell value crosses the local bound 2."""
+    """Visibility where the noisy canonical Bell value crosses the local bound 2."""
     return 2.0 / quantum_bell_value(check_dimension(d))
 
 
-def noise_threshold_bisect(d) -> float:
-    """Threshold located by bisection on the noisy canonical table.
+def noise_threshold_bisect(table: JointProbabilityTable) -> float:
+    """Visibility where the table, mixed with uniform noise, crosses 2.
 
-    The bisection stops once the visibility bracket is narrower than 1e-10.
+    Each step evaluates ``noisy_table`` until the visibility bracket is
+    narrower than 1e-10.  A table whose Bell value is below 2 raises ``ValueError``.
     """
-    return _bisect_threshold(born_table(check_dimension(d)))
-
-
-def _bisect_threshold(quantum: JointProbabilityTable) -> float:
-    """Visibility where the given table, mixed with uniform noise, crosses 2."""
 
     def margin(v: float) -> float:
-        return bell_expression(_mix_with_noise(quantum, v)) - 2.0
+        return bell_expression(noisy_table(table, v)) - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
-        raise ValueError(f"no violation at full visibility for d={quantum.d}")
+        raise ValueError(f"no violation at full visibility for d={table.d}")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
@@ -150,16 +143,14 @@ def optimize_phases(
     )
 
 
-def cglmp_crosscheck(d) -> dict:
-    """Evaluate the Bell value through the kernel and the probability-difference form.
+def cglmp_crosscheck(table: JointProbabilityTable) -> dict:
+    """Evaluate the table's Bell value through the kernel and the probability-difference form.
 
     The difference form reads outcomes in the complementary convention for
     the second party (n -> -n mod d), which is the convention its
     probability-difference terms are built for; both paths then measure the
-    same behaviour and must agree.
+    same behaviour and must agree, on any table.
     """
-    d = check_dimension(d)
-    table = born_table(d)
     kernel_value = bell_expression(table)
     cglmp_value = cglmp_expression(table.conjugate_second_party())
     return {
@@ -190,9 +181,11 @@ def scan_dimensions(d_max) -> ScanResult:
     """One summary row per dimension from 2 to d_max, plus monotonicity flags.
 
     The ``lhv_max`` column is filled by exhaustive enumeration up to
-    ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.
+    ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.  A d_max
+    too large for the arrays of its last row is refused before the first row.
     """
     d_max = check_dimension(d_max)
+    check_array_size(d_max, 16 * d_max**2)
     rows = []
     for d in range(2, d_max + 1):
         lhv_max = enumerate_strategies(d).max_value if d <= SCAN_LHV_LIMIT else None

@@ -260,7 +260,7 @@ def cmd_scan(args) -> int:
 def cmd_noise(args) -> int:
     d = core.check_dimension(args.d)
     closed = analysis.noise_threshold(d)
-    bisected = analysis.noise_threshold_bisect(d)
+    bisected = analysis.noise_threshold_bisect(quantum.born_table(d))
     delta = abs(closed - bisected)
     if args.format == "json":
         _emit_json(
@@ -324,7 +324,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_cglmp(args) -> int:
     d = core.check_dimension(args.d)
-    result = analysis.cglmp_crosscheck(d)
+    result = analysis.cglmp_crosscheck(quantum.born_table(d))
     if args.format == "json":
         _emit_json(
             {
@@ -394,7 +394,8 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     shift_dev = quantum.shift_symmetry_deviation(table)
     record("shift-symmetry", shift_dev < 1e-12, f"max deviation {shift_dev:.3e}")
 
-    sum_dist = quantum.outcome_sum_distribution(table, 1, 1)
+    mapping = core.OutcomeMapping.sum_mapping(d)
+    sum_dist = core.mapped_spin_distribution(table, 1, 1, mapping)
     direct = d * table.p[0, 0, :, 0]
     qdist = quantum.spin_projection_distribution(d)
     marg_dev = float(max(np.abs(sum_dist - direct).max(), np.abs(sum_dist - qdist).max()))
@@ -408,7 +409,6 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     bell = core.bell_expression(table)
     record("quantum-violation", bell > 2.8, f"bell value {bell:.10g}")
 
-    mapping = core.OutcomeMapping.sum_mapping(d)
     assembled = core.bell_from_spin_correlations(table, mapping)
     rational = core.random_rational_table(d, rng)
     exact_match = core.bell_from_spin_correlations(rational, mapping) == core.bell_expression(rational)
@@ -419,13 +419,12 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
         f"float deviation {assembly_dev:.3e}, exact match {exact_match}",
     )
 
-    # analysis.cglmp_crosscheck on the table and Bell value already at hand
-    cglmp_delta = abs(bell - core.cglmp_expression(table.conjugate_second_party()))
+    cglmp_delta = analysis.cglmp_crosscheck(table)["delta"]
     record("cglmp-consistency", cglmp_delta < 1e-10, f"delta {cglmp_delta:.3e}")
 
     thr = analysis.noise_threshold(d)
     identity_dev = abs(thr * bell - 2.0)
-    bis_dev = abs(analysis._bisect_threshold(table) - thr)
+    bis_dev = abs(analysis.noise_threshold_bisect(table) - thr)
     record(
         "noise-threshold",
         identity_dev < 1e-10 and bis_dev < 1e-9,

@@ -400,34 +400,23 @@ def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
     return moment, moment.real + _orient(int(i), int(j)) * moment.imag / np.sqrt(3.0)
 
 
-def mapped_spin_distribution(
-    t: JointProbabilityTable, i: int, j: int, mapping: OutcomeMapping, sig: int = 1
-) -> np.ndarray:
+def mapped_spin_distribution(t: JointProbabilityTable, i: int, j: int, mapping: OutcomeMapping) -> np.ndarray:
     """Distribution of the mapped outcome value, indexed by k = S - S_z.
 
-    Entry k is the probability that g(m, n) is congruent to sig * k mod d,
-    i.e. that the synthetic spin projection S_z = S - k is observed (spin
-    values run from +S at k = 0 down to -S at k = d - 1).
+    Entry k is the probability that g(m, n) is congruent to k mod d, i.e.
+    that the synthetic spin projection S_z = S - k is observed (spin values
+    run from +S at k = 0 down to -S at k = d - 1).  With the sum mapping it
+    is the outcome-sum distribution.
     """
-    if sig not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sig!r}")
     if mapping.d != t.d:
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
-    return _mapped_distribution(t.subtable(i, j), mapping, sig)
+    return _mapped_distribution(t.subtable(i, j), mapping, 1)
 
 
 def _mapped_distribution(p: np.ndarray, mapping: OutcomeMapping, sig: int) -> np.ndarray:
+    """Distribution of (sig * g(m, n)) mod d over the pair's probabilities ``p``."""
     classes = (sig * mapping.table) % mapping.d
     return np.bincount(classes.ravel(), weights=p.ravel(), minlength=mapping.d)
-
-
-def spin_correlation(
-    t: JointProbabilityTable, i: int, j: int, mapping: OutcomeMapping, sig: int = 1
-) -> float:
-    """Expectation of the synthetic spin projection, sum_k (S - k) * P(k)."""
-    dist = mapped_spin_distribution(t, i, j, mapping, sig)
-    s = (t.d - 1) / 2.0
-    return float(((s - np.arange(t.d)) * dist).sum())
 
 
 def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMapping) -> Fraction | float:

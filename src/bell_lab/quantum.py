@@ -15,11 +15,9 @@ import numpy as np
 
 from .core import (
     JointProbabilityTable,
-    OutcomeMapping,
     SETTING_PAIRS,
     check_array_size,
     check_dimension,
-    mapped_spin_distribution,
 )
 from .errors import SingularAngleError
 
@@ -131,11 +129,6 @@ def shift_symmetry_deviation(t: JointProbabilityTable) -> float:
         shifted = np.roll(t.p, (-c, c), axis=(2, 3))
         worst = max(worst, float(np.abs(t.p - shifted).max()))
     return worst
-
-
-def outcome_sum_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:
-    """Distribution of the outcome sum: entry k is P(m + n congruent to k mod d)."""
-    return mapped_spin_distribution(t, i, j, OutcomeMapping.sum_mapping(t.d))
 
 
 def spin_projection_distribution(d) -> np.ndarray:

@@ -126,7 +126,7 @@ def test_criterion_06_qutrit_complex_recombination():
 def test_criterion_07_probability_difference_assembly():
     worst = 0.0
     for d in range(2, 17):
-        worst = max(worst, bl.cglmp_crosscheck(d)["delta"])
+        worst = max(worst, bl.cglmp_crosscheck(bl.born_table(d))["delta"])
     ok = worst < 1e-10
     report(7, ok, f"difference-form assembly vs kernel for d=2..16, worst gap {worst:.2e}")
     assert ok
@@ -138,7 +138,7 @@ def test_criterion_08_noise_thresholds():
         abs(p * bl.quantum_bell_value(d) - 2.0) for d, p in zip(range(2, 17), thresholds)
     )
     bisect_gap = max(
-        abs(bl.noise_threshold_bisect(d) - p) for d, p in zip(range(2, 17), thresholds)
+        abs(bl.noise_threshold_bisect(bl.born_table(d)) - p) for d, p in zip(range(2, 17), thresholds)
     )
     decreasing = all(b < a for a, b in zip(thresholds, thresholds[1:]))
     anchor_gap = max(abs(thresholds[0] - 0.7071068), abs(thresholds[1] - 0.6961524))

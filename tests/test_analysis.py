@@ -11,6 +11,7 @@ import pytest
 
 import bell_lab as bl
 from bell_lab import analysis, cli
+from conftest import random_table
 
 FROZEN_THRESHOLDS = {
     2: 0.7071067812,
@@ -35,20 +36,20 @@ class TestNoise:
     def test_visibility_endpoints(self):
         for d in (2, 3):
             quantum = bl.born_table(d)
-            assert np.abs(bl.noisy_table(d, 1.0).p - quantum.p).max() < 1e-15
-            assert np.abs(bl.noisy_table(d, 0.0).p - 1.0 / d**2).max() < 1e-15
+            assert np.abs(bl.noisy_table(quantum, 1.0).p - quantum.p).max() < 1e-15
+            assert np.abs(bl.noisy_table(quantum, 0.0).p - 1.0 / d**2).max() < 1e-15
 
     def test_visibility_bounds(self):
         with pytest.raises(ValueError):
-            bl.noisy_table(3, 1.5)
+            bl.noisy_table(bl.born_table(3), 1.5)
         with pytest.raises(ValueError):
-            bl.noisy_table(3, -0.1)
+            bl.noisy_table(bl.born_table(3), -0.1)
 
     def test_bell_value_linear_in_visibility(self):
         d = 3
         full = bl.bell_expression(bl.born_table(d))
         for v in (0.25, 0.5, 0.8):
-            mixed = bl.bell_expression(bl.noisy_table(d, v))
+            mixed = bl.bell_expression(bl.noisy_table(bl.born_table(d), v))
             assert abs(mixed - v * full) < 1e-12
 
     def test_frozen_thresholds(self):
@@ -61,16 +62,37 @@ class TestNoise:
 
     def test_bisection_agrees(self):
         for d in (2, 3, 4, 7):
-            assert abs(bl.noise_threshold_bisect(d) - bl.noise_threshold(d)) < 1e-10
+            assert abs(bl.noise_threshold_bisect(bl.born_table(d)) - bl.noise_threshold(d)) < 1e-10
 
     def test_threshold_table_value_is_classical_bound(self):
         d = 4
-        at = bl.bell_expression(bl.noisy_table(d, bl.noise_threshold(d)))
+        at = bl.bell_expression(bl.noisy_table(bl.born_table(d), bl.noise_threshold(d)))
         assert abs(at - 2.0) < 1e-9
 
     def test_threshold_strictly_decreasing(self):
         values = [bl.noise_threshold(d) for d in range(2, 17)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_bisection_on_random_settings(self):
+        # a table at non-canonical phases has its own threshold 2 / I
+        rng = np.random.default_rng(4242)
+        checked = 0
+        for d in (2, 3, 4, 5, 7):
+            for _ in range(40):
+                table = bl.born_table(d, bl.random_settings(rng))
+                value = bl.bell_expression(table)
+                if value <= 2.0:
+                    continue
+                assert abs(bl.noise_threshold_bisect(table) - 2.0 / value) < 1e-9
+                checked += 1
+        assert checked >= 20
+
+    def test_bisection_rejects_a_table_that_does_not_violate(self, rng):
+        uniform = bl.JointProbabilityTable.from_array(np.full((2, 2, 3, 3), 1 / 9))
+        for table in (uniform, random_table(4, rng)):
+            assert bl.bell_expression(table) < 2.0
+            with pytest.raises(ValueError, match="no violation at full visibility"):
+                bl.noise_threshold_bisect(table)
 
 
 @pytest.fixture
@@ -88,9 +110,9 @@ def born_builds(monkeypatch):
 
 
 class TestWorkCounts:
-    def test_bisection_builds_one_table(self, born_builds):
-        threshold = bl.noise_threshold_bisect(12)
-        assert born_builds == [(12, bl.CANONICAL_PHASES.as_tuple())]
+    def test_bisection_builds_no_table(self, born_builds):
+        threshold = bl.noise_threshold_bisect(bl.born_table(12))
+        assert born_builds == []
         assert abs(threshold - bl.noise_threshold(12)) < 1e-10
 
     def test_optimizer_builds_each_phase_tuple_once(self, born_builds):
@@ -114,12 +136,16 @@ class TestWorkCounts:
 class TestCglmpCrosscheck:
     def test_delta_small(self):
         for d in range(2, 9):
-            result = bl.cglmp_crosscheck(d)
+            result = bl.cglmp_crosscheck(bl.born_table(d))
             assert result["delta"] < 1e-12
             assert abs(result["kernel_value"] - bl.quantum_bell_value(d)) < 1e-12
 
+    def test_delta_small_on_random_tables(self, rng):
+        for d in range(2, 10):
+            assert bl.cglmp_crosscheck(random_table(d, rng))["delta"] < 1e-12
+
     def test_keys(self):
-        assert set(bl.cglmp_crosscheck(2)) == {"kernel_value", "cglmp_value", "delta"}
+        assert set(bl.cglmp_crosscheck(bl.born_table(2))) == {"kernel_value", "cglmp_value", "delta"}
 
 
 class TestOptimizer:

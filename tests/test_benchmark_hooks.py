@@ -3,7 +3,8 @@
 The benchmark's tracer wraps functions by name and reads some of their
 arguments by name; its harness probes the environment in a child that
 imports ``bell_lab._accel``.  These tests only read ``perfbench/``: they fail
-when a change to ``bell_lab`` removes something the benchmark still uses.
+when a change to ``bell_lab`` removes something the benchmark still uses, or
+hides from the tracer the work one of its metrics counts.
 """
 
 import ast
@@ -15,6 +16,8 @@ import subprocess
 import sys
 
 import pytest
+
+from bell_lab import analysis, quantum
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -44,7 +47,8 @@ def _resolve(module: str, attr: str):
     return obj
 
 
-TARGETS = _load_tracer().TARGETS
+TRACER = _load_tracer()
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: f"{t.module}.{t.attr}")
@@ -78,3 +82,15 @@ def test_environment_probe_runs():
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_bisection_counts_its_iterations():
+    table = quantum.born_table(3)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        analysis.noise_threshold_bisect(table)
+    finally:
+        tracer.uninstall()
+    doc = {"spans": tracer.spans, "counts": dict(tracer.counts)}
+    assert TRACER.layer_metrics([doc], 0, {})["analysis.bisect_iterations"] > 0

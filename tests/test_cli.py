@@ -321,6 +321,19 @@ class TestScanCommand:
         code, _, _ = run_cli(capsys, "scan")
         assert code == 2
 
+    def test_dmax_too_large_for_an_array(self, capsys, monkeypatch):
+        # refused before the first row: no row is built
+        def unreachable(*args, **kwargs):
+            pytest.fail("scan built a row for an oversized --dmax")
+
+        monkeypatch.setattr(analysis, "born_table", unreachable)
+        monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
+        d = "100000000000000000000"
+        code, out, err = run_cli(capsys, "scan", "--dmax", d)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "scan", "--dmax", "6")
         _, out2, _ = run_cli(capsys, "scan", "--dmax", "6")
@@ -340,6 +353,20 @@ class TestNoiseCommand:
         obj = json.loads(out)
         assert obj["p_threshold"] == 0.7071067812
         assert obj["delta"] < 1e-9
+
+    def test_builds_one_table(self, capsys, monkeypatch):
+        builds = []
+        real = quantum.born_table
+
+        def counting(d, settings=None):
+            builds.append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
+            return real(d, settings)
+
+        monkeypatch.setattr(quantum, "born_table", counting)
+        monkeypatch.setattr(analysis, "born_table", counting)
+        code, _, _ = run_cli(capsys, "noise", "--d", "12")
+        assert code == 0
+        assert builds == [(12, quantum.CANONICAL_PHASES.as_tuple())]
 
 
 class TestOptimizeCommand:

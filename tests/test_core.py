@@ -665,7 +665,7 @@ class TestSpinAssembly:
         d = 3
         t = random_table(d, rng)
         g = bl.OutcomeMapping.sum_mapping(d)
-        dist = bl.mapped_spin_distribution(t, 2, 1, g, sig=-1)
+        dist = core._mapped_distribution(t.subtable(2, 1), g, -1)
         manual = np.zeros(d)
         for m in range(d):
             for n in range(d):

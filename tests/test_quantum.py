@@ -135,14 +135,14 @@ class TestSymmetryAndSpin:
     def test_sum_distribution_matches_spin_distribution(self):
         for d in (2, 3, 5):
             t = bl.born_table(d)
-            dist = bl.outcome_sum_distribution(t, 1, 1)
+            dist = bl.mapped_spin_distribution(t, 1, 1, bl.OutcomeMapping.sum_mapping(d))
             assert np.abs(dist - bl.spin_projection_distribution(d)).max() < 1e-12
 
     def test_sum_distribution_matches_diagonal_slices(self):
         # all outcome pairs with the same m+n share one probability
         d = 4
         t = bl.born_table(d)
-        dist = bl.outcome_sum_distribution(t, 1, 1)
+        dist = bl.mapped_spin_distribution(t, 1, 1, bl.OutcomeMapping.sum_mapping(d))
         for k in range(d):
             assert abs(dist[k] - d * t.p[0, 0, k, 0]) < 1e-13
 
