@@ -4,10 +4,14 @@ Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  ``lhv``
 counts all d**4 local strategies exactly (one algorithm, O(d**3) in memory and
 O(d**4) in time, up to d = 64) or, with --samples and --seed, summarises a
 seeded sample.  Every report is laid out here; the other modules return data.
+Each ``cmd_*`` returns ``(payload, lines, status)``: the JSON body without
+``schema_version``, the text or CSV lines, and the exit status.  ``run`` alone
+writes the report: ``payload`` under ``SCHEMA_VERSION`` when ``args.format``
+is "json" (always for ``quantum``), otherwise ``lines`` (always for ``check``).
 Reports are deterministic for a fixed argument vector: floats are printed
-with 10 significant digits, exact rationals as "p/q", and every JSON report
-and the scan CSV header carry ``SCHEMA_VERSION``.  Exit codes: 0 success, 1 failed
-checks, 2 usage or input errors, including a request that runs out of memory.
+with 10 significant digits, exact rationals as "p/q", and the scan CSV header
+carries ``SCHEMA_VERSION`` too.  Exit codes: 0 success, 1 failed checks, 2
+usage or input errors, including a request that runs out of memory.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ def fmt10(x) -> str:
 
 def round10(x) -> float:
     return float(fmt10(x))
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json_key(key) -> str:
@@ -125,13 +125,12 @@ def _correlations_payload(table: core.JointProbabilityTable) -> dict:
     }
 
 
-def cmd_quantum(args) -> int:
+def cmd_quantum(args) -> tuple[dict, list, int]:
     if args.input_file is not None:
         if args.d is not None or args.phases is not None:
             raise BellLabError("--input-file cannot be combined with --d or --phases")
         table = core.load_table(args.input_file)
         report = {
-            "schema_version": SCHEMA_VERSION,
             "d": table.d,
             "source": args.input_file,
             "summary": {
@@ -139,8 +138,7 @@ def cmd_quantum(args) -> int:
                 "correlations": _correlations_payload(table),
             },
         }
-        _emit_json(report)
-        return 0
+        return report, [], 0
     if args.d is None:
         raise BellLabError("quantum needs --d or --input-file")
     d = core.check_dimension(args.d)
@@ -150,7 +148,6 @@ def cmd_quantum(args) -> int:
     closed = quantum.closed_form_table(d, settings)
     agreement = float(np.abs(table.p - closed.p).max())
     report = {
-        "schema_version": SCHEMA_VERSION,
         "d": d,
         "phases": [float(x) for x in settings.as_tuple()],
         # table entries keep full precision so a re-read reproduces the Bell value
@@ -164,8 +161,7 @@ def cmd_quantum(args) -> int:
             "closed_form_agreement": round10(agreement),
         },
     }
-    _emit_json(report)
-    return 0
+    return report, [], 0
 
 
 def _lhv_summary(args) -> lhv.EnumerationSummary:
@@ -184,9 +180,9 @@ def _lhv_summary(args) -> lhv.EnumerationSummary:
     return lhv.sample_strategies(d, args.samples, args.seed, mapping)
 
 
-def _lhv_json(summary: lhv.EnumerationSummary) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
+def cmd_lhv(args) -> tuple[dict, list, int]:
+    summary = _lhv_summary(args)
+    payload = {
         "d": summary.d,
         "mapping": summary.mapping,
         "method": summary.method,
@@ -196,18 +192,6 @@ def _lhv_json(summary: lhv.EnumerationSummary) -> dict:
         "argmax_count": summary.argmax_count,
         "case_counts": dict(summary.case_counts),
     }
-    if summary.d == 2:
-        out["cases_degenerate"] = True
-    if summary.seed is not None:
-        out["seed"] = summary.seed
-    return out
-
-
-def cmd_lhv(args) -> int:
-    summary = _lhv_summary(args)
-    if args.format == "json":
-        _emit_json(_lhv_json(summary))
-        return 0
     lines = [
         f"d = {summary.d}  mapping = {summary.mapping}  method = {summary.method}"
         f"  strategies = {summary.n_strategies}",
@@ -217,11 +201,12 @@ def cmd_lhv(args) -> int:
         f"argmax count = {summary.argmax_count}",
     ]
     if summary.d == 2:
+        payload["cases_degenerate"] = True
         lines.append("note: case labels are degenerate for d = 2")
     if summary.seed is not None:
+        payload["seed"] = summary.seed
         lines.append(f"seed = {summary.seed}")
-    _emit("\n".join(lines))
-    return 0
+    return payload, lines, 0
 
 
 def _csv_cell(value) -> str:
@@ -236,58 +221,42 @@ def _json_cell(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[dict, list, int]:
     result = analysis.scan_dimensions(core.check_dimension(args.dmax))
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "rows": [
-                    dict(zip(SCAN_COLUMNS, map(_json_cell, dataclasses.astuple(r))))
-                    for r in result.rows
-                ],
-                "bell_value_increasing": result.bell_increasing,
-                "threshold_decreasing": result.threshold_decreasing,
-            }
-        )
-    else:
-        lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(SCAN_COLUMNS)]
-        lines += [",".join(map(_csv_cell, dataclasses.astuple(r))) for r in result.rows]
-        _emit("\n".join(lines))
-    return 0
+    rows = [dataclasses.astuple(r) for r in result.rows]
+    payload = {
+        "rows": [dict(zip(SCAN_COLUMNS, map(_json_cell, row))) for row in rows],
+        "bell_value_increasing": result.bell_increasing,
+        "threshold_decreasing": result.threshold_decreasing,
+    }
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(SCAN_COLUMNS)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    return payload, lines, 0
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     closed = analysis.noise_threshold(d)
     bisected = analysis.noise_threshold_bisect(quantum.born_table(d))
     delta = abs(closed - bisected)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "d": d,
-                "I_d_QM": round10(quantum.quantum_bell_value(d)),
-                "p_threshold": round10(closed),
-                "p_threshold_bisect": round10(bisected),
-                "delta": float(f"{delta:.3g}"),
-            }
-        )
-    else:
-        _emit(
-            "\n".join(
-                (
-                    f"d = {d}",
-                    f"I_d_QM = {fmt10(quantum.quantum_bell_value(d))}",
-                    f"p_threshold = {fmt10(closed)}",
-                    f"p_threshold_bisect = {fmt10(bisected)}  (delta {delta:.3g})",
-                )
-            )
-        )
-    return 0
+    value = quantum.quantum_bell_value(d)
+    payload = {
+        "d": d,
+        "I_d_QM": round10(value),
+        "p_threshold": round10(closed),
+        "p_threshold_bisect": round10(bisected),
+        "delta": float(f"{delta:.3g}"),
+    }
+    lines = [
+        f"d = {d}",
+        f"I_d_QM = {fmt10(value)}",
+        f"p_threshold = {fmt10(closed)}",
+        f"p_threshold_bisect = {fmt10(bisected)}  (delta {delta:.3g})",
+    ]
+    return payload, lines, 0
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     if args.halvings < 0:
         raise BellLabError(f"--halvings must be non-negative, got {args.halvings}")
@@ -297,7 +266,6 @@ def cmd_optimize(args) -> int:
         start = quantum.CANONICAL_PHASES
     result = analysis.optimize_phases(d, start, step=args.step, halvings=args.halvings)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "d": d,
         "seed": args.seed,
         "start_phases": [round10(x) for x in result.start.as_tuple()],
@@ -306,47 +274,31 @@ def cmd_optimize(args) -> int:
         "best_value": round10(result.value),
         "evaluations": result.evaluations,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit(
-            "\n".join(
-                (
-                    f"d = {d}  seed = {args.seed}",
-                    f"start phases = {tuple(payload['start_phases'])}  value = {payload['start_value']}",
-                    f"best phases  = {tuple(payload['best_phases'])}  value = {payload['best_value']}",
-                    f"evaluations = {result.evaluations}",
-                )
-            )
-        )
-    return 0
+    lines = [
+        f"d = {d}  seed = {args.seed}",
+        f"start phases = {tuple(payload['start_phases'])}  value = {payload['start_value']}",
+        f"best phases  = {tuple(payload['best_phases'])}  value = {payload['best_value']}",
+        f"evaluations = {result.evaluations}",
+    ]
+    return payload, lines, 0
 
 
-def cmd_cglmp(args) -> int:
+def cmd_cglmp(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     result = analysis.cglmp_crosscheck(quantum.born_table(d))
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "d": d,
-                "kernel_value": round10(result["kernel_value"]),
-                "cglmp_value": round10(result["cglmp_value"]),
-                "delta": float(f"{result['delta']:.3g}"),
-            }
-        )
-    else:
-        _emit(
-            "\n".join(
-                (
-                    f"d = {d}",
-                    f"kernel_value = {fmt10(result['kernel_value'])}",
-                    f"cglmp_value = {fmt10(result['cglmp_value'])}",
-                    f"delta = {result['delta']:.3g}",
-                )
-            )
-        )
-    return 0
+    payload = {
+        "d": d,
+        "kernel_value": round10(result["kernel_value"]),
+        "cglmp_value": round10(result["cglmp_value"]),
+        "delta": float(f"{result['delta']:.3g}"),
+    }
+    lines = [
+        f"d = {d}",
+        f"kernel_value = {fmt10(result['kernel_value'])}",
+        f"cglmp_value = {fmt10(result['cglmp_value'])}",
+        f"delta = {result['delta']:.3g}",
+    ]
+    return payload, lines, 0
 
 
 def _check_battery(d: int) -> list[tuple[str, bool, str]]:
@@ -492,16 +444,13 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     results = _check_battery(d)
-    failures = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        _emit(f"{status} {name}: {detail}")
-    _emit(f"{len(results) - failures}/{len(results)} checks passed for d = {d}")
-    return 0 if failures == 0 else 1
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+    passed = sum(ok for _, ok, _ in results)
+    lines.append(f"{passed}/{len(results)} checks passed for d = {d}")
+    return {}, lines, 0 if passed == len(results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_d(p, required=False)
     p.add_argument("--phases", help="comma-separated alpha1,alpha2,beta1,beta2")
     p.add_argument("--input-file", help="evaluate a table read from this JSON file instead")
-    p.set_defaults(func=cmd_quantum)
+    p.set_defaults(func=cmd_quantum, format="json")
 
     p = sub.add_parser("lhv", help="scan deterministic local strategies")
     add_d(p)
@@ -559,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant battery for one dimension")
     add_d(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, format="text")
 
     return parser
 
@@ -571,7 +520,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, lines, status = args.func(args)
+        if args.format == "json":
+            _emit_json({"schema_version": SCHEMA_VERSION, **payload})
+        else:
+            sys.stdout.write("\n".join(lines) + "\n")
+        return status
     except BellLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -242,29 +242,22 @@ class JointProbabilityTable:
         """Build an exactly-represented table.
 
         ``tables`` is indexed [i-1][j-1][m][n] with rational entries (ints
-        included); each setting pair must sum to exactly 1.  An integer numpy
-        array is taken in one vectorised step: its entries become Python-int
-        numerators over the denominator 1.  Any other input (nested
-        sequences, object or bool arrays) is checked entry by entry and put
-        over the lcm of its denominators.  Either way the shape is checked
-        first and the pair sums are taken in Python ints, so an int64 or
-        uint64 pair cannot wrap around to 1.
+        included); each setting pair must sum to exactly 1.  The shape is
+        checked first, then each entry, and the entries are put over the lcm
+        of their denominators.  The pair sums are taken in Python ints, so an
+        int64 or uint64 pair cannot wrap around to 1.
         """
-        integer = isinstance(tables, np.ndarray) and tables.dtype.kind in "iu"
-        entries = tables if integer else np.array(tables, dtype=object)
+        entries = np.array(tables, dtype=object)
         if entries.ndim != 4 or entries.shape[:3] != (2, 2, entries.shape[3]):
             raise TableFormatError(f"expected [2][2][d][d] nested entries, got shape {entries.shape}")
         d = check_dimension(entries.shape[-1])
-        if integer:
-            numerators, denominator = entries.astype(object), 1
-        else:
-            flat = entries.ravel().tolist()
-            for q in flat:
-                if not isinstance(q, Rational):
-                    raise TypeError(f"exact entries must be rational, got {type(q).__name__}")
-            denominator = math.lcm(*(int(q.denominator) for q in flat))
-            nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
-            numerators = np.array(nums, dtype=object).reshape(entries.shape)
+        flat = entries.ravel().tolist()
+        for q in flat:
+            if not isinstance(q, Rational):
+                raise TypeError(f"exact entries must be rational, got {type(q).__name__}")
+        denominator = math.lcm(*(int(q.denominator) for q in flat))
+        nums = [int(q.numerator) * (denominator // int(q.denominator)) for q in flat]
+        numerators = np.array(nums, dtype=object).reshape(entries.shape)
         first = Fraction(numerators[0, 0].sum(), denominator)
         if first != 1:
             raise NormalizationError(f"setting pair (1,1) sums to {first}, expected 1")
@@ -301,8 +294,9 @@ class JointProbabilityTable:
     def from_json_dict(cls, obj) -> "JointProbabilityTable":
         """Table from a parsed JSON document, normalized to within ``FILE_TOL``.
 
-        Each setting pair's shape is checked against ``"d"`` before the four
-        pairs are stacked into the (2, 2, d, d) array.
+        Each setting pair's shape is checked against ``"d"``, and each of its
+        entries must be an int or a float, before the four pairs are stacked
+        into the (2, 2, d, d) array.
         """
         if not isinstance(obj, dict):
             raise TableFormatError("table document must be a JSON object")
@@ -327,6 +321,9 @@ class JointProbabilityTable:
                 raise TableFormatError(
                     f'setting pair "{key}" has shape {arr.shape}, expected ({d}, {d})'
                 )
+            # the float conversion above also reads "0.25", true and null
+            if not all(set(map(type, row)) <= {int, float} for row in sub):
+                raise TableFormatError(f'setting pair "{key}" has an entry that is not a JSON number')
             arrays.append(arr)
         return cls.from_array(np.reshape(arrays, (2, 2, d, d)), tol=FILE_TOL)
 

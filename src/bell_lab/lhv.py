@@ -115,9 +115,9 @@ def strategy_to_table(s, d) -> JointProbabilityTable:
     """Point-mass probability table of a deterministic strategy (exact)."""
     d = check_dimension(d)
     a1, a2, b1, b2 = _coerce_strategy(s, d)
-    counts = np.zeros((2, 2, d, d), dtype=np.int64)
+    counts = np.zeros((2, 2, d, d), dtype=object)
     counts[[0, 0, 1, 1], [0, 1, 0, 1], [a1, a1, a2, a2], [b1, b2, b1, b2]] = 1
-    return JointProbabilityTable.from_fractions(counts)
+    return JointProbabilityTable(d, numerators=counts)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,33 @@ class TestQuantumCommand:
         assert out == ""
         assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            [["0.25", "0.25"], ["0.25", "0.25"]],
+            [[True, False], [False, False]],
+            [[None, 0.5], [0.25, 0.25]],
+            [[0.25, 0.25], ["0", 0.5]],
+        ],
+        ids=["strings", "booleans", "null", "one-string"],
+    )
+    def test_entries_must_be_json_numbers(self, capsys, tmp_path, pair):
+        # float() reads "0.25" and true; the table file format does not
+        tables = {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("11", "12", "22")}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"d": 2, "tables": {"21": pair, **tables}}))
+        code, out, err = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == 'error: setting pair "21" has an entry that is not a JSON number\n'
+
+    def test_integer_entries_are_numbers(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"d": 2, "tables": {key: [[1, 0], [0, 0]] for key in ("11", "12", "21", "22")}}))
+        code, out, _ = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert code == 0
+        assert json.loads(out)["summary"]["bell_value"] == 2.0
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "quantum", "--d", "4")
         _, out2, _ = run_cli(capsys, "quantum", "--d", "4")
@@ -454,6 +481,16 @@ class TestCheckCommand:
         assert len(lines) >= 12
         assert out.splitlines()[-1].endswith(f"checks passed for d = {d}")
 
+    def test_failing_row_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(quantum, "shift_symmetry_deviation", lambda table: 1.0)
+        code, out, err = run_cli(capsys, "check", "--d", "5")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL shift-symmetry: max deviation 1.000e+00" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "13/14 checks passed for d = 5"
+        assert err == ""
+
     def test_born_table_builds(self, capsys, monkeypatch):
         builds = []
         real = quantum.born_table
@@ -497,18 +534,42 @@ class TestUsage:
         assert peak < 2**20
 
 
+def run_child(module, argv):
+    """``python -m module *argv`` in a child process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(bell_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["bell_lab", "bell_lab.cli"])
     def test_python_m_matches_run(self, capsys, module):
         argv = ["lhv", "--d", "3"]
         code, out, _ = run_cli(capsys, *argv)
-        src = os.path.dirname(os.path.dirname(bell_lab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        child = subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
-        )
+        child = run_child(module, argv)
         assert (child.returncode, child.stdout) == (code, out)
         assert out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "quantum --d 3",
+            "scan --dmax 3",
+            "noise --d 3",
+            "optimize --d 3 --halvings 2",
+            "cglmp --d 3",
+            "check --d 3",
+            "noise --d 1",
+        ],
+    )
+    def test_every_subcommand_writes_what_run_writes(self, capsys, argv):
+        # the child writes to a real pipe, not to the capture buffer
+        code, out, err = run_cli(capsys, *argv.split())
+        child = run_child("bell_lab", argv.split())
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+        assert out or err
 
 
 class TestGoldenStdout:
@@ -551,6 +612,15 @@ class TestGoldenStdout:
         "lhv --d 7": "0a8a6f404c8ceb2cd2f0e1ab8fceafc99f718e5e910ee3bcb80f7ff38baac809",
         "lhv --d 40 --samples 1000 --seed 2": "c87f6df1d17fb1e55838c180d7c771c6958ef86dc35e490583037d70cbdcea0d",
         "lhv --d 300 --samples 5000 --seed 4 --format json": "38313df4125889de30981805d0a6020551cc0291690db883c65b64ed276ac9a7",
+        # layouts no entry above pins: an unseeded optimize ("seed = None",
+        # "seed": null), the difference mapping at small d, a scan with no
+        # empty cells and the d = 2 noise and cglmp JSON
+        "optimize --d 5": "8d080863323c2d1c5b86c8739f1814716484cf1fda14450ab85d09808258284d",
+        "optimize --d 5 --format json": "e7412f29c31e513ff288870dfdfdb1e59e32cd58c7e8b6a1e6ea0fd5be23d784",
+        "lhv --d 3 --mapping difference --format json": "da3181938b3ec59f3be9a1fa7711359f75d1eca76f101a90811442209709f85f",
+        "scan --dmax 3": "cabdf7b7418d31bead2068bada180862d8508ae0449dcafff2b9c53786022737",
+        "cglmp --d 2 --format json": "6cf08725ad5142db8bb78cbb8143bbbd41f870e900512dc9990b19cc7a58e573",
+        "noise --d 2 --format json": "d627fc9d9797fb7ba556a7f402368beaee7e58c6b75fda3a8179141bb8bbc24d",
     }
     # quantum --input-file on the written quantum --d 64 report, without its "source" line
     READ_BACK_D64 = "17b197f686631bf8ba00dda1c14c00d99f1d8f82a4cd8102bf5afd24b7417d92"
@@ -619,3 +689,30 @@ class TestJsonEmitter:
             code, out, _ = run_cli(capsys, "quantum", "--d", str(d))
             assert code == 0
             assert out == json.dumps(reports[-1], indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "quantum --d 3",
+            "quantum --input-file {table}",
+            "lhv --d 3 --format json",
+            "lhv --d 40 --samples 500 --seed 2 --format json",
+            "scan --dmax 5 --format json",
+            "noise --d 3 --format json",
+            "cglmp --d 3 --format json",
+            "optimize --d 3 --halvings 2 --format json",
+            "optimize --d 3 --halvings 2 --seed 1 --format json",
+        ],
+    )
+    def test_every_json_report_is_json_dumps_of_the_report(self, capsys, monkeypatch, tmp_path, argv):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(quantum.born_table(3).to_json_dict()))
+        reports = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda obj: (reports.append(obj), emit(obj)))
+        code, out, _ = run_cli(capsys, *[str(table) if a == "{table}" else a for a in argv.split()])
+        assert code == 0
+        [report] = reports
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert next(iter(report)) == "schema_version"
+        assert report["schema_version"] == cli.SCHEMA_VERSION
