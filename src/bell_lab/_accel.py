@@ -6,10 +6,13 @@ Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
 (``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
 way, into a class of b1 and a class of b2.  ``count_strategies`` uses this
 separation to summarise all d**4 strategies from per-pair histograms in
-O(d**3) memory.  Its time is O(d**4): the int64 product of the value
-histograms, (2d-1) x d**2 by d**2 x (2d-1), runs without BLAS, about 4 d**4
-multiply-adds.  ``fill_strategy_arrays`` writes every strategy out in O(d**4)
-memory and is kept as the reference the tests compare the count against.
+O(d**3) memory.  Its time is O(d**4): the product of the value histograms,
+(2d-1) x d**2 by d**2 x (2d-1), about 4 d**4 multiply-adds, taken in
+float64 so that BLAS runs it.  The float64 result is exact: every partial
+sum is a non-negative integer no larger than the d**4 strategies, and
+d**4 < 2**53 at every d counted.  ``fill_strategy_arrays`` writes every
+strategy out in O(d**4) memory and is kept as the reference the tests
+compare the count against.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
 def count_strategies(g):
     """Counts over all d**4 strategies of an ``OutcomeMapping``.
 
-    Takes O(d**3) memory and O(d**4) time (the int64 histogram product).
+    Takes O(d**3) memory and O(d**4) time (the histogram product, in
+    float64 and cast back to int64: exact while d**4 < 2**53).
 
     Returns ``(values, cases, argmax_rows)``: ``values[k]`` counts the
     strategies with Bell numerator k - 2(d-1), ``cases[c]`` those with case
@@ -104,9 +108,12 @@ def count_strategies(g):
         pair = np.arange(d * d).reshape(d, d, 1) * width
         return np.bincount((pair + keys).ravel(), minlength=d * d * width).reshape(d * d, width)
 
-    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins
+    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins.
+    # The product runs in float64 (BLAS); its entries are integers up to d**4
     width = 2 * d - 1
-    joint = per_pair(x + (d - 1), width).T @ per_pair(y + 2 * (d - 1), width)
+    hx = per_pair(x + (d - 1), width).astype(np.float64)
+    hy = per_pair(y + 2 * (d - 1), width).astype(np.float64)
+    joint = (hx.T @ hy).astype(np.int64)
     # joint[i, j] has numerator i + j - 2(d-1): sum its anti-diagonals
     values = np.array([np.trace(joint[::-1], k) for k in range(1 - width, width)])
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -260,6 +261,8 @@ def cmd_optimize(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     if args.halvings < 0:
         raise BellLabError(f"--halvings must be non-negative, got {args.halvings}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise BellLabError(f"--step must be a positive finite number, got {args.step}")
     if args.seed is not None:
         start = analysis.random_settings(core.seeded_rng(args.seed))
     else:

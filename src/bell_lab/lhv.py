@@ -25,6 +25,13 @@ from .errors import DimensionError, EnumerationSizeError, MappingError
 # largest d counted exhaustively; beyond it callers draw a seeded sample
 EXHAUSTIVE_LIMIT = 64
 
+# largest d sampled: its outcome sums and numerators, within +-2(d - 1),
+# stay within int64
+_SAMPLE_D_LIMIT = 1 << 62
+
+# strategies drawn at a time by sample_strategies
+_SAMPLE_CHUNK = 1 << 16
+
 # indexed by _accel.CASE_CODE; already in the sorted order that reports use
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
 
@@ -144,15 +151,10 @@ class EnumerationSummary:
         return self.argmax_rows()
 
 
-def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax_rows, seed=None):
-    # values[k] counts numerators k - 2(d-1); cases[c] counts case code c
-    offset = 2 * (d - 1)
-    # only the occupied bins become Python objects: a sample at large d
-    # occupies a few of the 4d - 3
-    histogram = {
-        Fraction(2 * (int(k) - offset), d - 1): int(values[k])
-        for k in np.flatnonzero(values)[::-1]
-    }
+def _summary_from_counts(d, mapping, method, totals, cases, argmax_count, argmax_rows, seed=None):
+    # totals maps each Bell numerator that occurs to its count; cases[c]
+    # counts case code c
+    histogram = {Fraction(2 * k, d - 1): totals[k] for k in sorted(totals, reverse=True)}
     return EnumerationSummary(
         d=d,
         mapping=mapping.name,
@@ -160,26 +162,43 @@ def _summary_from_counts(d, mapping, method, values, cases, argmax_count, argmax
         max_value=next(iter(histogram)),
         histogram=histogram,
         case_counts={label: int(cases[code]) for code, label in enumerate(CASE_LABELS)},
-        n_strategies=int(values.sum()),
+        n_strategies=sum(histogram.values()),
         argmax_count=argmax_count,
         argmax_rows=argmax_rows,
         seed=seed,
     )
 
 
-def _summarize(d, mapping, nums, cases, strategies, method, seed=None) -> EnumerationSummary:
-    """Summary of explicit strategies: their numerators, case codes and (n, 4) outcome rows."""
-    values = np.bincount(nums.astype(np.int64, copy=False) + 2 * (d - 1), minlength=4 * d - 3)
+def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
+    """Summary of explicit strategies, given as ``(strategies, nums, cases)`` chunks.
+
+    Each chunk holds (n, 4) outcome rows with their numerators and case codes.
+    Only running totals outlive a chunk: the count of each numerator that
+    occurs, the case histogram and the rows that attain the largest
+    numerator so far.
+    """
+    totals = {}
+    case_hist = np.zeros(len(CASE_LABELS), dtype=np.int64)
+    top_num, tops = None, []
+    for strategies, nums, cases in chunks:
+        keys, counts = np.unique(nums, return_counts=True)
+        for k, c in zip(keys.tolist(), counts.tolist()):
+            totals[k] = totals.get(k, 0) + c
+        case_hist += np.bincount(cases, minlength=len(CASE_LABELS))
+        chunk_max = keys[-1]
+        if top_num is None or chunk_max > top_num:
+            top_num, tops = chunk_max, []
+        if chunk_max == top_num:
+            # the exact cast to the narrow row dtype makes the final sort cheap
+            tops.append(strategies[nums == chunk_max].astype(_accel.row_dtype(d)))
     # the maximizing rows sorted lexicographically, each kept once (the rows
-    # of np.unique(axis=0)); the exact cast to the narrow row dtype first
-    # makes the sorts cheap
-    top = strategies[nums == nums.max()].astype(_accel.row_dtype(d))
+    # of np.unique(axis=0))
+    top = np.concatenate(tops)
     top = top[np.lexsort(top.T[::-1])]
     first = np.ones(len(top), dtype=bool)
     first[1:] = (top[1:] != top[:-1]).any(axis=1)
     argmax = top[first]
-    case_hist = np.bincount(cases, minlength=len(CASE_LABELS))
-    return _summary_from_counts(d, mapping, method, values, case_hist, len(argmax), lambda: argmax, seed)
+    return _summary_from_counts(d, mapping, method, totals, case_hist, len(argmax), lambda: argmax, seed)
 
 
 def _checked_mapping(d, mapping: OutcomeMapping | None) -> OutcomeMapping:
@@ -210,8 +229,10 @@ def enumerate_strategies(d, mapping: OutcomeMapping | None = None) -> Enumeratio
         )
     mapping = _checked_mapping(d, mapping)
     values, cases, argmax_rows = _accel.count_strategies(mapping)
-    argmax_count = int(values[np.flatnonzero(values)[-1]])
-    return _summary_from_counts(d, mapping, "exhaustive", values, cases, argmax_count, argmax_rows)
+    # values[k] counts the numerator k - 2(d-1)
+    totals = {int(k) - 2 * (d - 1): int(values[k]) for k in np.flatnonzero(values)}
+    argmax_count = totals[max(totals)]
+    return _summary_from_counts(d, mapping, "exhaustive", totals, cases, argmax_count, argmax_rows)
 
 
 def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | None = None) -> EnumerationSummary:
@@ -220,28 +241,35 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     Draws ``n_samples`` strategies uniformly with replacement and summarises
     them like ``enumerate_strategies``; ``argmax`` holds the distinct
     maximizing rows drawn, as ``_accel.row_dtype(d)`` (int16 up to d = 32768).
-    The cost is O(n_samples) time and memory, plus a histogram of 4d - 3
-    counters: the mapping is evaluated elementwise, and the sum and
-    difference mappings are arithmetic that builds no d x d table.  A draw
-    or histogram too large for one array, as for every d beyond int64,
+    The draw streams in chunks of ``_SAMPLE_CHUNK`` strategies from one
+    generator, the same stream as one whole draw.  The time is O(n_samples);
+    the memory is one chunk, the distinct numerators drawn (three under the
+    named mappings) and the maximizing rows drawn.  The mapping is evaluated
+    elementwise, and the sum and difference mappings are arithmetic that
+    builds no d x d table.  A d whose outcome sums would overflow int64, or
+    a sample count whose (n, 4) int64 draw would exceed the largest array,
     raises ``EnumerationSizeError`` before anything is drawn.
     """
     d = check_dimension(d)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise EnumerationSizeError(f"need at least one sample, got {n_samples}")
-    # sizes in bytes of the histogram and the draw, against the largest array
-    max_bytes = np.iinfo(np.intp).max
-    if 8 * (4 * d - 3) > max_bytes:
+    if d > _SAMPLE_D_LIMIT:
         raise EnumerationSizeError(
-            f"d = {d} is too large to sample: its 4d - 3 int64 counters exceed the largest array"
+            f"d = {d} is too large to sample: outcome sums up to 2(d - 1) must fit in int64 "
+            "(d <= 2**62)"
         )
-    if 8 * 4 * n_samples > max_bytes:
+    if 8 * 4 * n_samples > np.iinfo(np.intp).max:
         raise EnumerationSizeError(
             f"{n_samples} samples are too many: the (n, 4) int64 draw exceeds the largest array"
         )
     mapping = _checked_mapping(d, mapping)
     rng = seeded_rng(seed)
-    strategies = rng.integers(0, d, size=(n_samples, 4), dtype=np.int64)
-    nums, cases = _accel.strategy_values(mapping, *strategies.T)
-    return _summarize(d, mapping, nums, cases, strategies, "sampled", int(seed))
+
+    def chunks():
+        for start in range(0, n_samples, _SAMPLE_CHUNK):
+            k = min(_SAMPLE_CHUNK, n_samples - start)
+            strategies = rng.integers(0, d, size=(k, 4), dtype=np.int64)
+            yield (strategies, *_accel.strategy_values(mapping, *strategies.T))
+
+    return _summarize(d, mapping, chunks(), "sampled", int(seed))

@@ -149,6 +149,9 @@ class TestQuantumCommand:
         assert out1 == out2
 
 
+INT64_SUMS = "d = {d} is too large to sample: outcome sums up to 2(d - 1) must fit in int64 (d <= 2**62)"
+
+
 class TestLhvCommand:
     def test_text_report(self, capsys):
         code, out, _ = run_cli(capsys, "lhv", "--d", "2")
@@ -194,15 +197,21 @@ class TestLhvCommand:
         assert err == "error: --seed applies only with --samples\n"
 
     @pytest.mark.parametrize(
-        "d, samples",
+        "d, samples, reason",
         [
-            ("100000000000000000000", "2"),  # d beyond int64
-            ("9223372036854775807", "2"),
-            ("2305843009213693952", "2"),  # 4d - 3 counters beyond the largest array
-            ("3", "1152921504606846976"),  # an (n, 4) draw beyond the largest array
+            # d beyond the int64 outcome sums
+            pytest.param("100000000000000000000", "2", INT64_SUMS, id="100000000000000000000-2"),
+            pytest.param("9223372036854775807", "2", INT64_SUMS, id="9223372036854775807-2"),
+            # an (n, 4) draw beyond the largest array
+            pytest.param(
+                "3",
+                "1152921504606846976",
+                "1152921504606846976 samples are too many: the (n, 4) int64 draw exceeds the largest array",
+                id="3-1152921504606846976",
+            ),
         ],
     )
-    def test_oversized_sample(self, capsys, d, samples):
+    def test_oversized_sample(self, capsys, d, samples, reason):
         tracemalloc.start()
         try:
             code, out, err = run_cli(capsys, "lhv", "--d", d, "--samples", samples, "--seed", "1")
@@ -211,8 +220,22 @@ class TestLhvCommand:
             tracemalloc.stop()
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "largest array" in err
+        assert err == "error: " + reason.format(d=d) + "\n"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("d", ["1000000000", "2305843009213693952"])
+    def test_huge_d_sample_answers(self, capsys, d):
+        # the numerators are counted sparsely: nothing grows with d
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "lhv", "--d", d, "--samples", "1000", "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert err == ""
+        assert "strategies = 1000" in out
+        assert "max = 2 (exact)" in out
         assert peak < 2**20
 
     def test_sampled_run(self, capsys):
@@ -437,12 +460,18 @@ class TestOptimizeCommand:
         assert out == ""
         assert err == "error: --halvings must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "-1e400"])
+    def test_step_must_be_positive_and_finite(self, capsys, step):
+        code, out, err = run_cli(capsys, "optimize", "--d", "3", f"--step={step}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --step must be a positive finite number, got {float(step)}\n"
+
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("quantum", "--d", "3", "--phases", "1e308,0,0,0"),
-        ("optimize", "--d", "3", "--step", "inf"),
         ("optimize", "--d", "3", "--step", "1e308", "--halvings", "1"),
     ],
     ids=" ".join,
@@ -612,6 +641,10 @@ class TestGoldenStdout:
         "lhv --d 7": "0a8a6f404c8ceb2cd2f0e1ab8fceafc99f718e5e910ee3bcb80f7ff38baac809",
         "lhv --d 40 --samples 1000 --seed 2": "c87f6df1d17fb1e55838c180d7c771c6958ef86dc35e490583037d70cbdcea0d",
         "lhv --d 300 --samples 5000 --seed 4 --format json": "38313df4125889de30981805d0a6020551cc0291690db883c65b64ed276ac9a7",
+        # the lhv-enum benchmark vectors, copied from perfbench/digests.json
+        # (its difference-mapping JSON vector is pinned above)
+        "lhv --d 64": "4274d1aba2d96ec25d1ae181d052c7bfcb806cf2029a2bdd4f50e5559513e95e",
+        "lhv --d 2000 --samples 2000000 --seed 1": "977ba097947a5db5579136302553bf277b0b055134927686b84a67362659bde1",
         # layouts no entry above pins: an unseeded optimize ("seed = None",
         # "seed": null), the difference mapping at small d, a scan with no
         # empty cells and the d = 2 noise and cglmp JSON

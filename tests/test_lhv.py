@@ -4,6 +4,7 @@ Histograms, case counts, and example values below were frozen from an
 independent exact-arithmetic enumerator before this module was written.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -250,6 +251,30 @@ class TestSampling:
         for row in rows:
             assert bl.strategy_bell_value(row, d) == summary.max_value == 2
 
+    def test_int64_arithmetic_holds_at_the_largest_d(self):
+        # outcome sums and numerators reach +-2(d - 1), which int64 holds up
+        # to d = 2**62; every strategy of extreme outcomes, against the exact
+        # closed forms (sum mapping) and Python ints (difference mapping)
+        d = 2**62
+        ends = np.array([0, 1, d - 2, d - 1], dtype=np.int64)
+        rows = np.stack(np.meshgrid(ends, ends, ends, ends, indexing="ij"), axis=-1).reshape(-1, 4)
+        nums, cases = _accel.strategy_values(bl.OutcomeMapping.sum_mapping(d), *rows.T)
+        for row, num, case in zip(rows.tolist(), nums.tolist(), cases.tolist()):
+            assert F(2 * num, d - 1) == bl.strategy_bell_value(row, d)
+            assert lhv.CASE_LABELS[case] == bl.classify_strategy(row, d)
+
+        def g(a, b):
+            return (a - b) % d
+
+        nums, _ = _accel.strategy_values(bl.OutcomeMapping.difference_mapping(d), *rows.T)
+        for (a1, a2, b1, b2), num in zip(rows.tolist(), nums.tolist()):
+            assert num == (d - 1) + g(a2, b1) - g(a1, b1) - g(a2, b2) - (-g(a1, b2)) % d
+
+    def test_sampling_stops_at_the_int64_bound(self):
+        assert bl.sample_strategies(2**62, 2, seed=1).n_strategies == 2
+        with pytest.raises(EnumerationSizeError, match="int64"):
+            bl.sample_strategies(2**62 + 1, 2, seed=1)
+
 
 # (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
 # counts which of a1+b2, a2+b1 do; frozen from classify_strategy
@@ -295,21 +320,51 @@ def random_latin_square(d, rng):
     return symbols[np.add.outer(rows, cols) % d]
 
 
+def assert_oracle_grid(kind, dims):
+    rng = np.random.default_rng(5)
+    for d in dims:
+        if kind == "latin":
+            mapping = bl.OutcomeMapping(d, random_latin_square(d, rng), "latin")
+        else:
+            mapping = getattr(bl.OutcomeMapping, f"{kind}_mapping")(d)
+        for seed in (1, 2, 7):
+            assert_same_summary(
+                bl.sample_strategies(d, 400, seed, mapping), sampled_oracle(d, mapping, 400, seed)
+            )
+
+
 class TestSampledOracle:
     """sample_strategies against table gathers and np.unique(axis=0)."""
 
     @pytest.mark.parametrize("kind", ["sum", "difference", "latin"])
     def test_matches_gather_and_unique(self, kind):
-        rng = np.random.default_rng(5)
-        for d in range(2, 41):
-            if kind == "latin":
-                mapping = bl.OutcomeMapping(d, random_latin_square(d, rng), "latin")
-            else:
-                mapping = getattr(bl.OutcomeMapping, f"{kind}_mapping")(d)
-            for seed in (1, 2, 7):
-                assert_same_summary(
-                    bl.sample_strategies(d, 400, seed, mapping), sampled_oracle(d, mapping, 400, seed)
-                )
+        assert_oracle_grid(kind, range(2, 41))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind", ["sum", "difference", "latin"])
+    def test_small_chunks_match_one_draw(self, monkeypatch, kind, chunk):
+        # many chunks hold no maximizing strategy, so later chunks raise the
+        # running maximum and drop the rows kept so far
+        monkeypatch.setattr(lhv, "_SAMPLE_CHUNK", chunk)
+        assert_oracle_grid(kind, range(2, 13))
+
+    @pytest.mark.parametrize("d", [3, 40, 2000])
+    def test_chunk_boundaries_match_one_draw(self, d):
+        chunk = lhv._SAMPLE_CHUNK
+        mapping = bl.OutcomeMapping.sum_mapping(d)
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            assert_same_summary(bl.sample_strategies(d, n, 1, mapping), sampled_oracle(d, mapping, n, 1))
+
+    def test_draw_streams_in_bounded_memory(self):
+        # one whole (n, 4) int64 draw alone would take 61 MiB
+        tracemalloc.start()
+        try:
+            summary = bl.sample_strategies(2000, 2_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.n_strategies == 2_000_000
+        assert peak < 24 * 2**20
 
 
 def reference_summary(d, mapping):
@@ -318,7 +373,7 @@ def reference_summary(d, mapping):
     cases = np.empty(d**4, np.int8)
     _accel.fill_strategy_arrays(d, mapping.table, nums, cases, 0, d)
     strategies = np.stack(np.unravel_index(np.arange(d**4), (d,) * 4), axis=1)
-    return lhv._summarize(d, mapping, nums, cases, strategies, "exhaustive")
+    return lhv._summarize(d, mapping, [(strategies, nums, cases)], "exhaustive")
 
 
 def assert_same_summary(fast, ref):
@@ -347,6 +402,29 @@ class TestBackends:
         cyclic = np.add.outer(np.arange(d), np.arange(d)) % d
         mapping = bl.OutcomeMapping(d, symbols[cyclic[rows][:, cols]], "latin")
         assert_same_summary(bl.enumerate_strategies(d, mapping), reference_summary(d, mapping))
+
+    @pytest.mark.parametrize("name", ["sum_mapping", "difference_mapping"])
+    def test_count_matches_closed_forms(self, name):
+        # the float64 histogram product must be exact at every d counted
+        for d in range(2, lhv.EXHAUSTIVE_LIMIT + 1):
+            summary = bl.enumerate_strategies(d, getattr(bl.OutcomeMapping, name)(d))
+            top = d * d * (d + 1) * (d + 2) // 6
+            histogram = {F(2): top, F(-2, d - 1): 2 * d * d * (d * d - 1) // 3}
+            if d > 2:
+                histogram[F(-2 * (d + 1), d - 1)] = d * d * (d - 1) * (d - 2) // 6
+            assert summary.histogram == histogram
+            assert summary.argmax_count == top
+            mixed = d * (d + 2) * (d * d - 1) // 12
+            low = d * (d - 2) * (d * d - 1) // 12
+            assert summary.case_counts == {
+                "Case1i": d * (d + 1) * (d * d + d + 1) // 6,
+                "Case1ii": mixed,
+                "Case2i": mixed,
+                "Case2ii": d * d * (d * d - 1) // 3,
+                "Case2iii": low,
+                "Case3i": d * (d - 1) * (d * d - d + 1) // 6,
+                "Case3ii": low,
+            }
 
     def test_argmax_rows_are_decoded_on_first_read(self):
         summary = bl.enumerate_strategies(6)
