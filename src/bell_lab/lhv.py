@@ -247,8 +247,8 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     named mappings) and the maximizing rows drawn.  The mapping is evaluated
     elementwise, and the sum and difference mappings are arithmetic that
     builds no d x d table.  A d whose outcome sums would overflow int64, or
-    a sample count whose (n, 4) int64 draw would exceed the largest array,
-    raises ``EnumerationSizeError`` before anything is drawn.
+    a sample count above the cap ``intp.max // 32`` (2**58 - 1), raises
+    ``EnumerationSizeError`` before anything is drawn.
     """
     d = check_dimension(d)
     n_samples = int(n_samples)
@@ -259,10 +259,9 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
             f"d = {d} is too large to sample: outcome sums up to 2(d - 1) must fit in int64 "
             "(d <= 2**62)"
         )
-    if 8 * 4 * n_samples > np.iinfo(np.intp).max:
-        raise EnumerationSizeError(
-            f"{n_samples} samples are too many: the (n, 4) int64 draw exceeds the largest array"
-        )
+    cap = np.iinfo(np.intp).max // 32
+    if n_samples > cap:
+        raise EnumerationSizeError(f"{n_samples} samples are too many: the sample count is capped at {cap}")
     mapping = _checked_mapping(d, mapping)
     rng = seeded_rng(seed)
 

@@ -76,7 +76,8 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     party's conjugated basis is built once per setting and shared by the two
     pairs that use it, so a table takes four basis builds and four products.
 
-    This explicit construction is the only one: ``closed_form_table`` and the
+    This explicit construction is the only table: ``closed_form_table`` (a
+    bare array, compared with this table and never gated) and the
     spin-projection distribution are checked against it.  The entries depend
     only on the outcome sum, so a length-d vector per pair would do, but it
     rounds differently in the last bits and the CLI prints these entries in
@@ -94,14 +95,16 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     return JointProbabilityTable.from_array(p)
 
 
-def closed_form_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
-    """Same probabilities in closed form.
+def closed_form_table(d, settings: MeasurementSettings | None = None) -> np.ndarray:
+    """Same probabilities in closed form, as a bare (2, 2, d, d) float array.
 
     p_ij(m, n) = sin^2(pi (alpha_i + beta_j)) / (d^3 sin^2(pi (m + n + alpha_i + beta_j) / d)).
 
     At the canonical phases every numerator equals 1/2.  A vanishing
     denominator (phase sum congruent to -(m+n) mod d) has no finite closed
-    form and raises ``SingularAngleError`` naming the entry.
+    form and raises ``SingularAngleError`` naming the entry.  The array is a
+    comparison oracle for ``born_table``, not a table: its pair sums leave
+    ``INTERNAL_TOL`` at d = 880 and at many larger d, so it is never gated.
     """
     d = check_dimension(d)
     settings = settings or CANONICAL_PHASES
@@ -115,20 +118,21 @@ def closed_form_table(d, settings: MeasurementSettings | None = None) -> JointPr
             bm, bn = np.argwhere(bad)[0]
             raise SingularAngleError(i, j, int(bm), int(bn))
         p[i - 1, j - 1] = np.sin(np.pi * (alpha + beta)) ** 2 / (d ** 3 * den ** 2)
-    return JointProbabilityTable.from_array(p)
+    return p
 
 
 def shift_symmetry_deviation(t: JointProbabilityTable) -> float:
     """Largest violation of p(m, n) = p(m + c, n - c) over all cyclic shifts c.
 
     Zero (to rounding) for any table whose entries depend only on the outcome
-    sum mod d, as the entangled-state tables do.
+    sum mod d, as the entangled-state tables do.  Any two entries with the
+    same outcome sum k are one shift apart, so this is the largest spread
+    max - min within a class, read from one gather of the entries
+    (m, (k - m) mod d).
     """
-    worst = 0.0
-    for c in range(1, t.d):
-        shifted = np.roll(t.p, (-c, c), axis=(2, 3))
-        worst = max(worst, float(np.abs(t.p - shifted).max()))
-    return worst
+    m = np.arange(t.d)
+    by_sum = t.p[:, :, m, (m[:, None] - m) % t.d]
+    return float((by_sum.max(axis=-1) - by_sum.min(axis=-1)).max())
 
 
 def spin_projection_distribution(d) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_criterion_03_born_vs_closed_form_random_settings():
     rng = np.random.default_rng(314159)
     worst = 0.0
     for d in range(2, 11):
-        worst = max(worst, float(np.abs(bl.born_table(d).p - bl.closed_form_table(d).p).max()))
+        worst = max(worst, float(np.abs(bl.born_table(d).p - bl.closed_form_table(d)).max()))
         accepted = 0
         while accepted < 50:
             settings = bl.random_settings(rng)
@@ -73,7 +73,7 @@ def test_criterion_03_born_vs_closed_form_random_settings():
                 continue
             accepted += 1
             born = bl.born_table(d, settings)
-            worst = max(worst, float(np.abs(born.p - closed.p).max()))
+            worst = max(worst, float(np.abs(born.p - closed).max()))
     ok = worst < 1e-12
     report(3, ok, f"canonical plus 50 random draws per d=2..10, worst entry gap {worst:.2e}")
     assert ok

@@ -75,6 +75,14 @@ class TestQuantumCommand:
             assert out == ""
             assert err == "error: --input-file cannot be combined with --d or --phases\n"
 
+    def test_closed_form_agreement_at_d880(self):
+        # the first d where the closed form's pair sums leave the table gate;
+        # it is compared as an array, so the report is built
+        args = cli.build_parser().parse_args(["quantum", "--d", "880"])
+        report, _, status = cli.cmd_quantum(args)
+        assert status == 0
+        assert report["summary"]["closed_form_agreement"] < 1e-12
+
     def test_singular_phases(self, capsys):
         code, _, err = run_cli(capsys, "quantum", "--d", "3", "--phases", "0,0.5,1,0")
         assert code == 2
@@ -202,12 +210,18 @@ class TestLhvCommand:
             # d beyond the int64 outcome sums
             pytest.param("100000000000000000000", "2", INT64_SUMS, id="100000000000000000000-2"),
             pytest.param("9223372036854775807", "2", INT64_SUMS, id="9223372036854775807-2"),
-            # an (n, 4) draw beyond the largest array
+            # sample counts above the cap, 2**58 - 1
             pytest.param(
                 "3",
                 "1152921504606846976",
-                "1152921504606846976 samples are too many: the (n, 4) int64 draw exceeds the largest array",
+                "1152921504606846976 samples are too many: the sample count is capped at 288230376151711743",
                 id="3-1152921504606846976",
+            ),
+            pytest.param(
+                "3",
+                "288230376151711744",
+                "288230376151711744 samples are too many: the sample count is capped at 288230376151711743",
+                id="3-288230376151711744",
             ),
         ],
     )
@@ -620,6 +634,9 @@ class TestGoldenStdout:
         "check --d 4": "27ee121edf713ce5b9377f4696c81b55565da12ef57593d1939901934bcaea3f",
         "check --d 7": "7c26ff33395d362315dabef8f0d1a05de51de514ad9274b1eaac4187f5cc705e",
         "check --d 17": "a981ee563655f515c3ab2aafcdd2f73c488faabf2b877e5fe22d60a6eb7ef578",
+        # the first d whose random settings (seed 12345 + d) draw one with
+        # |sin| < 1e-3, which born-vs-closed-form skips
+        "check --d 13": "f774216c396b2ec3aa97999087b59d07240521f631c3e09d559c156734f92de2",
         "cglmp --d 2": "26d74d9c14ebb15dcf8943aa4b9aa70dc927b7ed26d70ede34bf550fd462a7a7",
         "cglmp --d 37": "318e29db0c448e345397c7c60745b78048ea9e5302bf4d17981c52ffc2972d8d",
         "noise --d 7": "72018c2035b05801d08dd87e5d57e6f23a09ab622714c98b9d07e44a6664d2b0",
@@ -642,7 +659,7 @@ class TestGoldenStdout:
         "lhv --d 40 --samples 1000 --seed 2": "c87f6df1d17fb1e55838c180d7c771c6958ef86dc35e490583037d70cbdcea0d",
         "lhv --d 300 --samples 5000 --seed 4 --format json": "38313df4125889de30981805d0a6020551cc0291690db883c65b64ed276ac9a7",
         # the lhv-enum benchmark vectors, copied from perfbench/digests.json
-        # (its difference-mapping JSON vector is pinned above)
+        # like the other vectors in BENCHMARK_COPIES
         "lhv --d 64": "4274d1aba2d96ec25d1ae181d052c7bfcb806cf2029a2bdd4f50e5559513e95e",
         "lhv --d 2000 --samples 2000000 --seed 1": "977ba097947a5db5579136302553bf277b0b055134927686b84a67362659bde1",
         # layouts no entry above pins: an unseeded optimize ("seed = None",
@@ -655,6 +672,15 @@ class TestGoldenStdout:
         "cglmp --d 2 --format json": "6cf08725ad5142db8bb78cbb8143bbbd41f870e900512dc9990b19cc7a58e573",
         "noise --d 2 --format json": "d627fc9d9797fb7ba556a7f402368beaee7e58c6b75fda3a8179141bb8bbc24d",
     }
+    # the vectors whose digests are copied from perfbench/digests.json
+    BENCHMARK_COPIES = {
+        "lhv --d 64",
+        "lhv --d 2000 --samples 2000000 --seed 1",
+        "lhv --d 64 --mapping difference --format json",
+        "check --d 6",
+        "check --d 16",
+        "quantum --d 384",
+    }
     # quantum --input-file on the written quantum --d 64 report, without its "source" line
     READ_BACK_D64 = "17b197f686631bf8ba00dda1c14c00d99f1d8f82a4cd8102bf5afd24b7417d92"
 
@@ -663,6 +689,14 @@ class TestGoldenStdout:
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv]
+
+    def test_benchmark_copies_match(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "digests.json")
+        with open(path, encoding="utf-8") as fh:
+            recorded = json.load(fh)["stdout_sha256"]
+        assert set(self.GOLDEN) & set(recorded) == self.BENCHMARK_COPIES
+        for argv in self.BENCHMARK_COPIES:
+            assert self.GOLDEN[argv] == recorded[argv]
 
     def test_read_back_digest(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "quantum", "--d", "64")

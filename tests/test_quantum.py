@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bell_lab as bl
 from bell_lab import core
-from bell_lab.errors import DimensionError, SingularAngleError
+from bell_lab.errors import DimensionError, NormalizationError, SingularAngleError
 
 # 40-digit brute force, rounded; d=2,3,4 also match the radical forms
 FROZEN_Q = {2: 0.7071067812, 3: 0.7182335128, 4: 0.7240608046}
@@ -54,9 +54,21 @@ class TestBornTable:
         assert abs(t.p[0, 0, 0, 0] - (4 + 2 * math.sqrt(3)) / 27) < 1e-14
 
     def test_closed_form_matches_born_canonical(self):
-        for d in range(2, 9):
-            dev = np.abs(bl.born_table(d).p - bl.closed_form_table(d).p).max()
-            assert dev < 1e-13
+        # at d = 880 and 992 the closed form's pair sums leave INTERNAL_TOL,
+        # so it is compared as a bare array, never gated as a table
+        for d in (*range(2, 9), 880, 992):
+            closed = bl.closed_form_table(d)
+            assert type(closed) is np.ndarray
+            assert closed.shape == (2, 2, d, d)
+            assert np.abs(bl.born_table(d).p - closed).max() < 1e-13
+
+    def test_closed_form_is_not_a_table(self):
+        # the gate stays at INTERNAL_TOL; the oracle is what falls outside it
+        assert core.INTERNAL_TOL == 1e-12
+        closed = bl.closed_form_table(880)
+        assert np.abs(closed.sum(axis=(2, 3)) - 1.0).max() > core.INTERNAL_TOL
+        with pytest.raises(NormalizationError):
+            bl.JointProbabilityTable.from_array(closed)
 
     def test_closed_form_matches_born_random_settings(self, rng):
         for d in (2, 3, 5):
@@ -67,7 +79,7 @@ class TestBornTable:
                 except SingularAngleError:
                     continue
                 born = bl.born_table(d, s)
-                assert np.abs(born.p - closed.p).max() < 1e-12
+                assert np.abs(born.p - closed).max() < 1e-12
 
     def test_singular_angle_raises_with_location(self):
         s = bl.MeasurementSettings(0.0, 0.5, 1.0, -0.25)
@@ -115,7 +127,24 @@ class TestBornTableBitIdentity:
         assert np.array_equal(bl.born_table(d, s).p, per_pair_born(d, s))
 
 
+def rolled_shift_deviation(t):
+    """The loop shift_symmetry_deviation replaced: d - 1 rolled copies of the table."""
+    worst = 0.0
+    for c in range(1, t.d):
+        shifted = np.roll(t.p, (-c, c), axis=(2, 3))
+        worst = max(worst, float(np.abs(t.p - shifted).max()))
+    return worst
+
+
 class TestSymmetryAndSpin:
+    @pytest.mark.parametrize("d", [*range(2, 40), 100, 200])
+    def test_shift_symmetry_matches_rolled_oracle(self, d):
+        from conftest import random_table
+
+        rng = np.random.default_rng(d)
+        for t in (bl.born_table(d), bl.born_table(d, bl.random_settings(rng)), random_table(d, rng)):
+            assert bl.shift_symmetry_deviation(t) == rolled_shift_deviation(t)
+
     def test_shift_symmetry_canonical(self):
         for d in range(2, 9):
             assert bl.shift_symmetry_deviation(bl.born_table(d)) < 1e-12
