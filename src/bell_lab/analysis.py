@@ -11,16 +11,16 @@ from .core import (
     JointProbabilityTable,
     bell_expression,
     cglmp_expression,
-    check_array_size,
     check_dimension,
 )
 from .lhv import enumerate_strategies
 from .quantum import (
     CANONICAL_PHASES,
     MeasurementSettings,
-    born_table,
     canonical_correlation,
+    check_table_size,
     quantum_bell_value,
+    sum_amplitude_table,
 )
 
 # exhaustive strategy scans stay cheap in this range; larger d leave the column empty
@@ -108,7 +108,7 @@ def optimize_phases(
     def value_at(phases) -> float:
         key = tuple(phases)
         if key not in values:
-            values[key] = bell_expression(born_table(d, MeasurementSettings(*key)))
+            values[key] = bell_expression(sum_amplitude_table(d, MeasurementSettings(*key)))
         return values[key]
 
     x = list(start.as_tuple())
@@ -181,11 +181,14 @@ def scan_dimensions(d_max) -> ScanResult:
     """One summary row per dimension from 2 to d_max, plus monotonicity flags.
 
     The ``lhv_max`` column is filled by exhaustive enumeration up to
-    ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.  A d_max
-    too large for the arrays of its last row is refused before the first row.
+    ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.  The
+    ``cglmp_value`` column evaluates ``sum_amplitude_table``, one FFT per
+    setting pair; it is printed to 10 significant digits, where it agrees with
+    ``born_table``.  A d_max whose table is too large for an array is refused
+    before the first row.
     """
     d_max = check_dimension(d_max)
-    check_array_size(d_max, 16 * d_max**2)
+    check_table_size(d_max)
     rows = []
     for d in range(2, d_max + 1):
         lhv_max = enumerate_strategies(d).max_value if d <= SCAN_LHV_LIMIT else None
@@ -195,7 +198,7 @@ def scan_dimensions(d_max) -> ScanResult:
                 q_correlation=canonical_correlation(d),
                 bell_quantum=quantum_bell_value(d),
                 p_threshold=noise_threshold(d),
-                cglmp_value=cglmp_expression(born_table(d).conjugate_second_party()),
+                cglmp_value=cglmp_expression(sum_amplitude_table(d).conjugate_second_party()),
                 lhv_max=lhv_max,
             )
         )

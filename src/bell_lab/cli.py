@@ -237,7 +237,7 @@ def cmd_scan(args) -> tuple[dict, list, int]:
 def cmd_noise(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
     closed = analysis.noise_threshold(d)
-    bisected = analysis.noise_threshold_bisect(quantum.born_table(d))
+    bisected = analysis.noise_threshold_bisect(quantum.sum_amplitude_table(d))
     delta = abs(closed - bisected)
     value = quantum.quantum_bell_value(d)
     payload = {

@@ -5,6 +5,12 @@ offset.  On the maximally entangled state of two d-level systems the joint
 outcome probabilities depend only on the outcome sum m + n and the phase sum,
 which makes the closed form below possible and concentrates the Bell
 expression into a single spin-projection distribution.
+
+Two builders make the same table.  ``born_table`` is the explicit Born rule
+(O(d^3) matrix products); ``quantum``, ``cglmp`` and ``check`` use it because
+they print the table's last bits.  ``sum_amplitude_table`` takes one length-d
+FFT per setting pair (O(d^2)); ``scan``, ``optimize`` and ``noise`` use it,
+as they print 10 significant digits, where the two builders agree.
 """
 
 from __future__ import annotations
@@ -68,20 +74,27 @@ def measurement_basis(d, phase: float) -> np.ndarray:
         return np.exp(2j * np.pi * np.outer(np.arange(d) + phase, l) / d) / np.sqrt(d)
 
 
+def check_table_size(d: int) -> None:
+    """Raise ``DimensionError`` if the (2, 2, d, d) float64 table of d exceeds the largest array."""
+    check_array_size(d, 2 * 2 * 8 * d**2)
+
+
 def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
     """Joint outcome probabilities via inner products with the entangled state.
 
     Entry (m, n) of pair (i, j) is |<a_i^m, b_j^n | psi>|^2, computed as the
     matrix product of the two conjugated bases divided by sqrt(d).  Each
     party's conjugated basis is built once per setting and shared by the two
-    pairs that use it, so a table takes four basis builds and four products.
+    pairs that use it, so a table takes four basis builds and four O(d^3)
+    products.
 
-    This explicit construction is the only table: ``closed_form_table`` (a
-    bare array, compared with this table and never gated) and the
-    spin-projection distribution are checked against it.  The entries depend
-    only on the outcome sum, so a length-d vector per pair would do, but it
-    rounds differently in the last bits and the CLI prints these entries in
-    shortest round-trip ``repr``, so its stdout would change.
+    This is the explicit Born rule, kept wherever a table's last bits are
+    printed: ``quantum`` prints every entry in shortest round-trip ``repr``,
+    and ``cglmp`` and ``check`` print roundoff-level deviations.
+    ``sum_amplitude_table`` builds the same probabilities in O(d^2) but
+    rounds differently in the last bits, so those outputs would change.
+    ``closed_form_table`` (a bare array, never gated), ``sum_amplitude_table``
+    and the spin-projection distribution are checked against this table.
     """
     d = check_dimension(d)
     settings = settings or CANONICAL_PHASES
@@ -92,6 +105,36 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     for i, j in SETTING_PAIRS:
         amp = ca[i - 1] @ cbt[j - 1] / np.sqrt(d)
         p[i - 1, j - 1] = np.abs(amp) ** 2
+    return JointProbabilityTable.from_array(p)
+
+
+def sum_amplitude_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
+    """The ``born_table`` probabilities from one length-d FFT per setting pair.
+
+    With phi = alpha_i + beta_j, the amplitude of outcomes (m, n) is
+    sum_l exp(-2 pi i l (m + n + phi) / d) / d^1.5, which depends on
+    k = (m + n) mod d only: it is entry k of the FFT of exp(-2 pi i l phi / d).
+    Entry (m, n) of the pair is |amp[(m + n) mod d]|^2, read from a Hankel
+    view of the doubled vector.  O(d^2) for the table instead of O(d^3).
+
+    It agrees with ``born_table`` to roundoff but not bit for bit, so it
+    serves the analyses whose outputs are printed to 10 significant digits
+    (``scan``, ``optimize``, ``noise``).  A phase too large for the
+    arithmetic gives a non-finite table without a warning, which the
+    ``JointProbabilityTable`` constructor refuses.
+    """
+    d = check_dimension(d)
+    check_table_size(d)
+    settings = settings or CANONICAL_PHASES
+    l = np.arange(d)
+    p = np.empty((2, 2, d, d))
+    for i, j in SETTING_PAIRS:
+        alpha, beta = settings.phases(i, j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = np.fft.fft(np.exp(-2j * np.pi * l * (alpha + beta) / d)) / d**1.5
+        q = np.abs(amp) ** 2
+        # window m of the doubled vector is q[(m + n) mod d] over n
+        p[i - 1, j - 1] = np.lib.stride_tricks.sliding_window_view(np.concatenate((q, q[:-1])), d)
     return JointProbabilityTable.from_array(p)
 
 

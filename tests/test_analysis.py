@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bell_lab as bl
-from bell_lab import analysis, cli
+from bell_lab import analysis, cli, quantum
 from conftest import random_table
 
 FROZEN_THRESHOLDS = {
@@ -96,41 +96,52 @@ class TestNoise:
 
 
 @pytest.fixture
-def born_builds(monkeypatch):
-    """Record the (d, phases) of every born_table call made through analysis."""
+def table_builds(monkeypatch):
+    """Record the (d, phases) of every sum_amplitude_table call made through analysis."""
     builds = []
-    real = analysis.born_table
+    real = analysis.sum_amplitude_table
 
     def counting(d, settings=None):
         builds.append((d, (settings or bl.CANONICAL_PHASES).as_tuple()))
         return real(d, settings)
 
-    monkeypatch.setattr(analysis, "born_table", counting)
+    monkeypatch.setattr(analysis, "sum_amplitude_table", counting)
     return builds
 
 
 class TestWorkCounts:
-    def test_bisection_builds_no_table(self, born_builds):
+    def test_bisection_builds_no_table(self, table_builds):
         threshold = bl.noise_threshold_bisect(bl.born_table(12))
-        assert born_builds == []
+        assert table_builds == []
         assert abs(threshold - bl.noise_threshold(12)) < 1e-10
 
-    def test_optimizer_builds_each_phase_tuple_once(self, born_builds):
+    def test_optimizer_builds_each_phase_tuple_once(self, table_builds):
         start = bl.random_settings(np.random.default_rng(1))
         result = bl.optimize_phases(64, start)
         assert result.evaluations == 257
-        assert len(born_builds) == len(set(born_builds))
+        assert len(table_builds) == len(set(table_builds))
         # moves back to an already evaluated setting are not rebuilt
-        assert len(born_builds) < result.evaluations
+        assert len(table_builds) < result.evaluations
 
-    def test_scan_builds_one_table_per_dimension(self, born_builds, monkeypatch):
+    def test_scan_builds_one_table_per_dimension(self, table_builds, monkeypatch):
         kernel_values = []
         real = analysis.bell_expression
         monkeypatch.setattr(analysis, "bell_expression", lambda t: kernel_values.append(t) or real(t))
         bl.scan_dimensions(12)
-        assert sorted(d for d, _ in born_builds) == list(range(2, 13))
+        assert sorted(d for d, _ in table_builds) == list(range(2, 13))
         # the CGLMP column needs no kernel Bell value
         assert kernel_values == []
+
+    def test_analyses_build_no_born_table(self, capsys, monkeypatch):
+        # the Born matrix products are kept for the outputs that print last bits
+        assert not hasattr(analysis, "born_table")
+        calls = []
+        monkeypatch.setattr(quantum, "born_table", lambda *args: calls.append(args))
+        bl.scan_dimensions(12)
+        bl.optimize_phases(64, bl.random_settings(np.random.default_rng(1)))
+        assert cli.run(["noise", "--d", "12"]) == 0
+        assert "p_threshold_bisect" in capsys.readouterr().out
+        assert calls == []
 
 
 class TestCglmpCrosscheck:
@@ -178,7 +189,7 @@ class TestOptimizer:
             def value_at(phases):
                 key = tuple(phases)
                 if key not in values:
-                    values[key] = bl.bell_expression(bl.born_table(3, bl.MeasurementSettings(*key)))
+                    values[key] = bl.bell_expression(bl.sum_amplitude_table(3, bl.MeasurementSettings(*key)))
                 return values[key]
 
             x = list(start.as_tuple())

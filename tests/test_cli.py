@@ -11,12 +11,14 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab
 from bell_lab import analysis, cli, lhv, quantum
+from bell_lab.errors import DimensionError
 
 
 def run_cli(capsys, *argv):
@@ -390,12 +392,30 @@ class TestScanCommand:
         def unreachable(*args, **kwargs):
             pytest.fail("scan built a row for an oversized --dmax")
 
-        monkeypatch.setattr(analysis, "born_table", unreachable)
+        monkeypatch.setattr(analysis, "sum_amplitude_table", unreachable)
         monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
         d = "100000000000000000000"
         code, out, err = run_cli(capsys, "scan", "--dmax", d)
         assert code == 2
         assert out == ""
+        assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
+
+    # the first d_max whose (2, 2, d, d) float64 table exceeds the largest array
+    TABLE_LIMIT = math.isqrt(np.iinfo(np.intp).max // 32) + 1
+
+    @pytest.mark.parametrize("d", [TABLE_LIMIT, 2**62])
+    def test_dmax_is_refused_where_its_table_is(self, capsys, monkeypatch, d):
+        quantum.check_table_size(self.TABLE_LIMIT - 1)
+        with pytest.raises(DimensionError):
+            quantum.sum_amplitude_table(d)
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("scan built a row for an oversized --dmax")
+
+        monkeypatch.setattr(analysis, "sum_amplitude_table", unreachable)
+        monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
+        code, out, err = run_cli(capsys, "scan", "--dmax", str(d))
+        assert (code, out) == (2, "")
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
 
     def test_determinism(self, capsys):
@@ -419,18 +439,23 @@ class TestNoiseCommand:
         assert obj["delta"] < 1e-9
 
     def test_builds_one_table(self, capsys, monkeypatch):
-        builds = []
-        real = quantum.born_table
+        builds = {"sum_amplitude_table": [], "born_table": []}
 
-        def counting(d, settings=None):
-            builds.append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
-            return real(d, settings)
+        def counting(name):
+            real = getattr(quantum, name)
 
-        monkeypatch.setattr(quantum, "born_table", counting)
-        monkeypatch.setattr(analysis, "born_table", counting)
+            def count(d, settings=None):
+                builds[name].append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
+                return real(d, settings)
+
+            monkeypatch.setattr(quantum, name, count)
+
+        counting("sum_amplitude_table")
+        counting("born_table")
         code, _, _ = run_cli(capsys, "noise", "--d", "12")
         assert code == 0
-        assert builds == [(12, quantum.CANONICAL_PHASES.as_tuple())]
+        assert builds["sum_amplitude_table"] == [(12, quantum.CANONICAL_PHASES.as_tuple())]
+        assert builds["born_table"] == []
 
 
 class TestOptimizeCommand:
@@ -543,7 +568,6 @@ class TestCheckCommand:
             return real(d, settings)
 
         monkeypatch.setattr(quantum, "born_table", counting)
-        monkeypatch.setattr(analysis, "born_table", counting)
         code, _, _ = run_cli(capsys, "check", "--d", "16")
         assert code == 0
         # the battery's canonical table also serves the CGLMP row and the
@@ -662,6 +686,11 @@ class TestGoldenStdout:
         # like the other vectors in BENCHMARK_COPIES
         "lhv --d 64": "4274d1aba2d96ec25d1ae181d052c7bfcb806cf2029a2bdd4f50e5559513e95e",
         "lhv --d 2000 --samples 2000000 --seed 1": "977ba097947a5db5579136302553bf277b0b055134927686b84a67362659bde1",
+        # the quantum-sweep benchmark vectors, whose tables come from
+        # sum_amplitude_table rather than the Born matrix products
+        "scan --dmax 160": "1b64df220a56a03bfa0c957e1c6ede68c439075ae736764dc5064203135556da",
+        "noise --d 192": "87538aaed1c5290d0a75b314c6a378805325e03c888217fbfae7a5965501eeed",
+        "optimize --d 64 --seed 1": "3b4a32db92edc8b1764cbfd325091fb00be7b6cf41edefa813bf7a317115dfad",
         # layouts no entry above pins: an unseeded optimize ("seed = None",
         # "seed": null), the difference mapping at small d, a scan with no
         # empty cells and the d = 2 noise and cglmp JSON
@@ -677,6 +706,9 @@ class TestGoldenStdout:
         "lhv --d 64",
         "lhv --d 2000 --samples 2000000 --seed 1",
         "lhv --d 64 --mapping difference --format json",
+        "scan --dmax 160",
+        "noise --d 192",
+        "optimize --d 64 --seed 1",
         "check --d 6",
         "check --d 16",
         "quantum --d 384",

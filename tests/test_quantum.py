@@ -127,6 +127,61 @@ class TestBornTableBitIdentity:
         assert np.array_equal(bl.born_table(d, s).p, per_pair_born(d, s))
 
 
+class TestSumAmplitudeTable:
+    """The one-FFT-per-pair builder against the Born matrix products."""
+
+    def test_matches_born_canonical(self):
+        for d in range(2, 65):
+            assert np.abs(bl.sum_amplitude_table(d).p - bl.born_table(d).p).max() < 1e-12
+
+    @given(
+        st.integers(2, 40),
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_born_drawn_settings(self, d, phases):
+        s = bl.MeasurementSettings(*phases)
+        assert np.abs(bl.sum_amplitude_table(d, s).p - bl.born_table(d, s).p).max() < 1e-12
+
+    def test_integer_phase_sum_is_a_delta(self):
+        # pair (1, 1) has phase sum 1: the closed form has no finite value there
+        s = bl.MeasurementSettings(0.0, 0.5, 1.0, -0.25)
+        with pytest.raises(SingularAngleError):
+            bl.closed_form_table(3, s)
+        for d in (3, 8, 31):
+            p = bl.sum_amplitude_table(d, s).p
+            assert np.isfinite(p).all()
+            assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() < core.INTERNAL_TOL
+            # all weight on the outcome sums k = -1 mod d, 1/d per entry
+            by_sum = d * p[0, 0, 0]
+            assert abs(by_sum[d - 1] - 1.0) < 1e-12
+            assert np.abs(by_sum[: d - 1]).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [880, 992, 2000])
+    def test_pair_sums_stay_in_the_gate(self, d):
+        # where the closed form's pair sums leave INTERNAL_TOL
+        p = bl.sum_amplitude_table(d).p
+        assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() < core.INTERNAL_TOL
+
+    def test_outcome_sums_follow_the_spin_distribution(self):
+        # pair (i, j) reads spin label k at outcome sum orient * k, with k
+        # reversed (k -> d - 1 - k) on the pair whose sign is negative
+        for d in range(2, 257):
+            p = bl.sum_amplitude_table(d).p
+            q = bl.spin_projection_distribution(d)
+            k = np.arange(d)
+            for (i, j), orient, sign in zip(core.SETTING_PAIRS, core.PAIR_ORIENT, core.PAIR_SIGNS):
+                label = k if sign > 0 else d - 1 - k
+                dist = d * p[i - 1, j - 1, 0, (orient * label) % d]
+                assert np.abs(dist - q).max() < 1e-12
+
+    @pytest.mark.parametrize("phase", [1e308, -1e308, math.inf])
+    def test_huge_phase_is_refused_without_a_warning(self, phase):
+        # filterwarnings = error: a numpy RuntimeWarning would surface instead
+        with pytest.raises(NormalizationError, match="non-finite"):
+            bl.sum_amplitude_table(3, bl.MeasurementSettings(phase, 0.0, 0.0, 0.0))
+
+
 def rolled_shift_deviation(t):
     """The loop shift_symmetry_deviation replaced: d - 1 rolled copies of the table."""
     worst = 0.0
