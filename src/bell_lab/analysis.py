@@ -9,6 +9,8 @@ import numpy as np
 
 from .core import (
     JointProbabilityTable,
+    _sum_class_bell,
+    _sum_class_cglmp,
     bell_expression,
     cglmp_expression,
     check_dimension,
@@ -20,7 +22,7 @@ from .quantum import (
     canonical_correlation,
     check_table_size,
     quantum_bell_value,
-    sum_amplitude_table,
+    sum_distributions,
 )
 
 # exhaustive strategy scans stay cheap in this range; larger d leave the column empty
@@ -93,7 +95,9 @@ def optimize_phases(
 
     One coordinate move of +-step at a time, keeping strict improvements;
     when a full sweep yields none the step is halved, ``halvings`` times in
-    total.  Deterministic for a fixed start.  Once the step has halved to 0,
+    total.  Deterministic for a fixed start.  Each distinct phase tuple is
+    evaluated once, from its outcome-sum distributions (``sum_distributions``,
+    O(d log d)); no d x d table is built.  Once the step has halved to 0,
     every candidate is the current point, so each remaining halving is one
     sweep of 8 evaluations that changes nothing: they are counted, not run.
     """
@@ -102,13 +106,13 @@ def optimize_phases(
 
     # coordinate moves often return to phases already evaluated (a -width
     # candidate right after an accepted +width move), so each distinct phase
-    # tuple is built and evaluated once
+    # tuple is evaluated once
     values: dict[tuple, float] = {}
 
     def value_at(phases) -> float:
         key = tuple(phases)
         if key not in values:
-            values[key] = bell_expression(sum_amplitude_table(d, MeasurementSettings(*key)))
+            values[key] = _sum_class_bell(sum_distributions(d, MeasurementSettings(*key)))
         return values[key]
 
     x = list(start.as_tuple())
@@ -182,10 +186,13 @@ def scan_dimensions(d_max) -> ScanResult:
 
     The ``lhv_max`` column is filled by exhaustive enumeration up to
     ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.  The
-    ``cglmp_value`` column evaluates ``sum_amplitude_table``, one FFT per
-    setting pair; it is printed to 10 significant digits, where it agrees with
-    ``born_table``.  A d_max whose table is too large for an array is refused
-    before the first row.
+    ``cglmp_value`` column folds the outcome-sum distributions of
+    ``sum_distributions`` (one FFT per setting pair, O(d log d) per row, no
+    d x d table),
+    which are the difference distributions of the conjugated table; it is
+    printed to 10 significant digits, where it agrees with ``born_table``.  A
+    d_max whose table is too large for an array is refused before the first
+    row.
     """
     d_max = check_dimension(d_max)
     check_table_size(d_max)
@@ -198,7 +205,7 @@ def scan_dimensions(d_max) -> ScanResult:
                 q_correlation=canonical_correlation(d),
                 bell_quantum=quantum_bell_value(d),
                 p_threshold=noise_threshold(d),
-                cglmp_value=cglmp_expression(sum_amplitude_table(d).conjugate_second_party()),
+                cglmp_value=_sum_class_cglmp(sum_distributions(d)),
                 lhv_max=lhv_max,
             )
         )

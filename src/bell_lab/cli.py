@@ -236,8 +236,11 @@ def cmd_scan(args) -> tuple[dict, list, int]:
 
 def cmd_noise(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
+    # the table goes first: it refuses a d too large for one array before the
+    # closed form allocates its d-sized arrays
+    table = quantum.sum_amplitude_table(d)
     closed = analysis.noise_threshold(d)
-    bisected = analysis.noise_threshold_bisect(quantum.sum_amplitude_table(d))
+    bisected = analysis.noise_threshold_bisect(table)
     delta = abs(closed - bisected)
     value = quantum.quantum_bell_value(d)
     payload = {
@@ -445,6 +448,8 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
 
 def cmd_check(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
+    # its first rows build the d x d kernel: refuse a d whose table exceeds the largest array first
+    quantum.check_table_size(d)
     results = _check_battery(d)
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     passed = sum(ok for _, ok, _ in results)

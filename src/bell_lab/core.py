@@ -169,6 +169,24 @@ def correlation_kernel(d) -> np.ndarray:
     return kern
 
 
+def _check_probabilities(p: np.ndarray, tol: float) -> None:
+    """The gate of float probabilities: finite, none below -tol, pair sums within tol of 1.
+
+    ``p`` has the setting pairs on its first two axes and a pair's
+    probabilities on the rest: a (2, 2, d, d) table or the (2, 2, d)
+    outcome-sum distributions of ``quantum.sum_distributions``.
+    """
+    if not np.isfinite(p).all():
+        raise NormalizationError("table contains non-finite entries")
+    if p.min() < -tol:
+        raise NormalizationError(f"table contains negative entries (min {p.min():.3e})")
+    worst = np.abs(p.sum(axis=tuple(range(2, p.ndim))) - 1.0).max()
+    if worst > tol:
+        raise NormalizationError(
+            f"each setting pair must sum to 1 (worst deviation {worst:.3e}, tolerance {tol:.0e})"
+        )
+
+
 @dataclass(frozen=True)
 class JointProbabilityTable:
     """Joint outcome distributions for the four setting pairs.
@@ -198,15 +216,7 @@ class JointProbabilityTable:
             p = np.asarray(self.p, dtype=float)
             if p.shape != shape:
                 raise TableFormatError(f"expected shape {shape}, got {p.shape}")
-            if not np.isfinite(p).all():
-                raise NormalizationError("table contains non-finite entries")
-            if p.min() < -_tol:
-                raise NormalizationError(f"table contains negative entries (min {p.min():.3e})")
-            worst = np.abs(p.sum(axis=(2, 3)) - 1.0).max()
-            if worst > _tol:
-                raise NormalizationError(
-                    f"each setting pair must sum to 1 (worst deviation {worst:.3e}, tolerance {_tol:.0e})"
-                )
+            _check_probabilities(p, _tol)
             p = p.copy()
         else:
             if self.p is not None:
@@ -464,8 +474,13 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
     where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
     folded form of the spin correlation built on outcome differences.
     """
-    diff = difference_distribution(t, i, j).tolist()  # subtable checks i and j
-    d, e = t.d, _orient(int(i), int(j))
+    diff = difference_distribution(t, i, j)  # subtable checks i and j
+    return _cglmp_fold(diff, _orient(int(i), int(j)))
+
+
+def _cglmp_fold(diff: np.ndarray, e: int) -> float:
+    """The fold of ``cglmp_correlation`` over one pair's difference distribution, orientation e."""
+    diff, d = diff.tolist(), len(diff)
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1)
@@ -476,3 +491,26 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
 def cglmp_expression(t: JointProbabilityTable) -> float:
     """Bell expression assembled from the probability-difference correlations."""
     return _pair_sum(cglmp_correlation(t, i, j) for i, j in SETTING_PAIRS)
+
+
+def _sum_class_bell(dists: np.ndarray) -> float:
+    """``bell_expression`` of a table whose entries depend only on the outcome sum, in O(d).
+
+    ``dists[i-1, j-1, k]`` is the probability that (m + n) mod d = k, as
+    ``quantum.sum_distributions`` returns it.  Kernel row m = 0 holds the
+    weight of each outcome-sum class; it is made here from that row's outcome
+    sums k, so no d x d kernel is built.
+    """
+    d = dists.shape[-1]
+    weights = _spin_weights(d, np.arange(d))  # correlation_kernel(d)[:, :, :1, :]
+    pairs = zip(weights.reshape(4, d), dists.reshape(4, d))
+    return _pair_sum(float((w * q).sum()) / (d - 1) for w, q in pairs)
+
+
+def _sum_class_cglmp(dists: np.ndarray) -> float:
+    """``cglmp_expression`` of the table's ``conjugate_second_party``, in O(d).
+
+    The relabelling n -> -n turns outcome sums into outcome differences, so
+    the conjugated table's difference distributions are ``dists``.
+    """
+    return _pair_sum(_cglmp_fold(q, e) for q, e in zip(dists.reshape(4, -1), PAIR_ORIENT))

@@ -9,8 +9,11 @@ expression into a single spin-projection distribution.
 Two builders make the same table.  ``born_table`` is the explicit Born rule
 (O(d^3) matrix products); ``quantum``, ``cglmp`` and ``check`` use it because
 they print the table's last bits.  ``sum_amplitude_table`` takes one length-d
-FFT per setting pair (O(d^2)); ``scan``, ``optimize`` and ``noise`` use it,
-as they print 10 significant digits, where the two builders agree.
+FFT per setting pair (O(d^2)); ``noise`` uses it, as it prints 10 significant
+digits, where the two builders agree.  ``sum_distributions`` returns the
+four outcome-sum distributions from the same FFTs without the table
+(O(d log d)); ``scan`` and ``optimize`` evaluate their Bell and CGLMP values
+from them in O(d).
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    INTERNAL_TOL,
     JointProbabilityTable,
     SETTING_PAIRS,
+    _check_probabilities,
     check_array_size,
     check_dimension,
 )
@@ -95,8 +100,11 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     rounds differently in the last bits, so those outputs would change.
     ``closed_form_table`` (a bare array, never gated), ``sum_amplitude_table``
     and the spin-projection distribution are checked against this table.
+    A d whose table exceeds the largest array is refused before the bases,
+    which are half its size, are built.
     """
     d = check_dimension(d)
+    check_table_size(d)
     settings = settings or CANONICAL_PHASES
     # conj(ua) for each first-party setting, conj(ub).T for each second-party one
     ca = [np.conj(measurement_basis(d, a)) for a in (settings.alpha1, settings.alpha2)]
@@ -108,34 +116,62 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     return JointProbabilityTable.from_array(p)
 
 
-def sum_amplitude_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
-    """The ``born_table`` probabilities from one length-d FFT per setting pair.
+def _sum_class_probabilities(d: int, settings: MeasurementSettings | None) -> np.ndarray:
+    """(2, 2, d) probability of one outcome pair (m, n) in each class k = (m + n) mod d.
 
     With phi = alpha_i + beta_j, the amplitude of outcomes (m, n) is
-    sum_l exp(-2 pi i l (m + n + phi) / d) / d^1.5, which depends on
-    k = (m + n) mod d only: it is entry k of the FFT of exp(-2 pi i l phi / d).
-    Entry (m, n) of the pair is |amp[(m + n) mod d]|^2, read from a Hankel
-    view of the doubled vector.  O(d^2) for the table instead of O(d^3).
-
-    It agrees with ``born_table`` to roundoff but not bit for bit, so it
-    serves the analyses whose outputs are printed to 10 significant digits
-    (``scan``, ``optimize``, ``noise``).  A phase too large for the
-    arithmetic gives a non-finite table without a warning, which the
-    ``JointProbabilityTable`` constructor refuses.
+    sum_l exp(-2 pi i l (m + n + phi) / d) / d^1.5, which depends on k
+    only: it is entry k of the FFT of exp(-2 pi i l phi / d).  One length-d
+    FFT per setting pair, the four taken in one call.  A d whose (2, 2, d, d)
+    table exceeds the largest array is refused before anything is allocated,
+    and a phase too large for the arithmetic gives non-finite entries without
+    a warning.
     """
     d = check_dimension(d)
     check_table_size(d)
     settings = settings or CANONICAL_PHASES
+    pairs = (settings.phases(i, j) for i, j in SETTING_PAIRS)
+    phi = np.reshape([alpha + beta for alpha, beta in pairs], (2, 2, 1))
     l = np.arange(d)
-    p = np.empty((2, 2, d, d))
-    for i, j in SETTING_PAIRS:
-        alpha, beta = settings.phases(i, j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp = np.fft.fft(np.exp(-2j * np.pi * l * (alpha + beta) / d)) / d**1.5
-        q = np.abs(amp) ** 2
-        # window m of the doubled vector is q[(m + n) mod d] over n
-        p[i - 1, j - 1] = np.lib.stride_tricks.sliding_window_view(np.concatenate((q, q[:-1])), d)
-    return JointProbabilityTable.from_array(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.fft.fft(np.exp(-2j * np.pi * l * phi / d)) / d**1.5
+    return np.abs(amp) ** 2
+
+
+def sum_amplitude_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
+    """The ``born_table`` probabilities from one length-d FFT per setting pair.
+
+    Entry (m, n) of a pair is its outcome-sum class probability at
+    (m + n) mod d, read from a Hankel view of the doubled class vector.
+    O(d^2) for the table instead of O(d^3).
+
+    It agrees with ``born_table`` to roundoff but not bit for bit, so it
+    serves ``noise``, which prints 10 significant digits.  A non-finite
+    table, from a phase too large for the arithmetic, is refused by the
+    ``JointProbabilityTable`` constructor.
+    """
+    q = _sum_class_probabilities(d, settings)
+    # window m of the doubled vector is q[(m + n) mod d] over n
+    doubled = np.concatenate((q, q[..., :-1]), axis=-1)
+    return JointProbabilityTable.from_array(
+        np.lib.stride_tricks.sliding_window_view(doubled, q.shape[-1], axis=-1)
+    )
+
+
+def sum_distributions(d, settings: MeasurementSettings | None = None) -> np.ndarray:
+    """The outcome-sum distributions of the quantum table, as a read-only (2, 2, d) array.
+
+    Entry [i-1, j-1, k] is the probability that (m + n) mod d = k under
+    settings (i, j): d times the class probability of ``sum_amplitude_table``,
+    which it describes completely in O(d) numbers.  It refuses the d and the phases
+    that table refuses, with the same errors: the distributions pass the
+    table gate (finite, non-negative, each pair summing to 1 within
+    ``INTERNAL_TOL``).  ``scan`` and ``optimize`` evaluate these.
+    """
+    dists = d * _sum_class_probabilities(d, settings)
+    _check_probabilities(dists, INTERNAL_TOL)
+    dists.setflags(write=False)
+    return dists
 
 
 def closed_form_table(d, settings: MeasurementSettings | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bell_lab as bl
-from bell_lab import analysis, cli, quantum
+from bell_lab import analysis, cli, core, quantum
 from conftest import random_table
 
 FROZEN_THRESHOLDS = {
@@ -97,15 +97,15 @@ class TestNoise:
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Record the (d, phases) of every sum_amplitude_table call made through analysis."""
+    """Record the (d, phases) of every sum_distributions call made through analysis."""
     builds = []
-    real = analysis.sum_amplitude_table
+    real = analysis.sum_distributions
 
     def counting(d, settings=None):
         builds.append((d, (settings or bl.CANONICAL_PHASES).as_tuple()))
         return real(d, settings)
 
-    monkeypatch.setattr(analysis, "sum_amplitude_table", counting)
+    monkeypatch.setattr(analysis, "sum_distributions", counting)
     return builds
 
 
@@ -121,7 +121,7 @@ class TestWorkCounts:
         assert result.evaluations == 257
         assert len(table_builds) == len(set(table_builds))
         # moves back to an already evaluated setting are not rebuilt
-        assert len(table_builds) < result.evaluations
+        assert 0 < len(table_builds) < result.evaluations
 
     def test_scan_builds_one_table_per_dimension(self, table_builds, monkeypatch):
         kernel_values = []
@@ -131,6 +131,21 @@ class TestWorkCounts:
         assert sorted(d for d, _ in table_builds) == list(range(2, 13))
         # the CGLMP column needs no kernel Bell value
         assert kernel_values == []
+
+    def test_scan_and_optimizer_build_no_table(self, table_builds, monkeypatch):
+        # both evaluate the (2, 2, d) outcome-sum distributions in O(d)
+        assert not hasattr(analysis, "sum_amplitude_table")
+        calls = []
+        monkeypatch.setattr(quantum, "sum_amplitude_table", lambda *args: calls.append(args))
+
+        def no_table(self, _tol):
+            pytest.fail("a JointProbabilityTable was built")
+
+        monkeypatch.setattr(core.JointProbabilityTable, "__post_init__", no_table)
+        bl.scan_dimensions(12)
+        bl.optimize_phases(64, bl.random_settings(np.random.default_rng(1)))
+        assert calls == []
+        assert len(table_builds) > 11
 
     def test_analyses_build_no_born_table(self, capsys, monkeypatch):
         # the Born matrix products are kept for the outputs that print last bits
@@ -234,6 +249,13 @@ class TestScan:
             assert abs(row.bell_quantum - bl.quantum_bell_value(row.d)) < 1e-12
             assert abs(row.p_threshold - bl.noise_threshold(row.d)) < 1e-12
             assert row.lhv_max == 2
+
+    def test_cglmp_column_prints_as_the_table_path(self):
+        # the O(d) fold over the sum distributions, at the 10 digits scan prints
+        for row in bl.scan_dimensions(400).rows:
+            table = bl.sum_amplitude_table(row.d)
+            expect = bl.cglmp_expression(table.conjugate_second_party())
+            assert cli.fmt10(row.cglmp_value) == cli.fmt10(expect)
 
     def test_monotonicity_flags(self):
         result = bl.scan_dimensions(8)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab
-from bell_lab import analysis, cli, lhv, quantum
+from bell_lab import analysis, cli, core, lhv, quantum
 from bell_lab.errors import DimensionError
 
 
@@ -392,7 +392,7 @@ class TestScanCommand:
         def unreachable(*args, **kwargs):
             pytest.fail("scan built a row for an oversized --dmax")
 
-        monkeypatch.setattr(analysis, "sum_amplitude_table", unreachable)
+        monkeypatch.setattr(analysis, "sum_distributions", unreachable)
         monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
         d = "100000000000000000000"
         code, out, err = run_cli(capsys, "scan", "--dmax", d)
@@ -408,11 +408,13 @@ class TestScanCommand:
         quantum.check_table_size(self.TABLE_LIMIT - 1)
         with pytest.raises(DimensionError):
             quantum.sum_amplitude_table(d)
+        with pytest.raises(DimensionError):
+            quantum.sum_distributions(d)
 
         def unreachable(*args, **kwargs):
             pytest.fail("scan built a row for an oversized --dmax")
 
-        monkeypatch.setattr(analysis, "sum_amplitude_table", unreachable)
+        monkeypatch.setattr(analysis, "sum_distributions", unreachable)
         monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
         code, out, err = run_cli(capsys, "scan", "--dmax", str(d))
         assert (code, out) == (2, "")
@@ -599,6 +601,27 @@ class TestUsage:
         assert out == ""
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
         assert peak < 2**20
+
+    # work that allocates d-sized or d x d arrays before a table is built:
+    # at these d it would exhaust the memory of a small host
+    HEAVY = {
+        "noise": [(analysis, "noise_threshold"), (quantum, "spin_projection_distribution")],
+        "cglmp": [(quantum, "measurement_basis")],
+        "quantum": [(quantum, "measurement_basis"), (quantum, "closed_form_table")],
+        "check": [(core, "correlation_kernel"), (quantum, "measurement_basis")],
+    }
+
+    @pytest.mark.parametrize("command", sorted(HEAVY))
+    @pytest.mark.parametrize("d", [TestScanCommand.TABLE_LIMIT, 600000000])
+    def test_table_size_is_checked_before_any_d_sized_work(self, capsys, monkeypatch, command, d):
+        def unreachable(*args, **kwargs):
+            pytest.fail(f"{command} did d-sized work before its table size check")
+
+        for module, name in self.HEAVY[command]:
+            monkeypatch.setattr(module, name, unreachable)
+        code, out, err = run_cli(capsys, command, "--d", str(d))
+        assert (code, out) == (2, "")
+        assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
 
 
 def run_child(module, argv):

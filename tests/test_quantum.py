@@ -162,6 +162,7 @@ class TestSumAmplitudeTable:
         # where the closed form's pair sums leave INTERNAL_TOL
         p = bl.sum_amplitude_table(d).p
         assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() < core.INTERNAL_TOL
+        assert np.abs(bl.sum_distributions(d).sum(axis=-1) - 1.0).max() < core.INTERNAL_TOL
 
     def test_outcome_sums_follow_the_spin_distribution(self):
         # pair (i, j) reads spin label k at outcome sum orient * k, with k
@@ -178,8 +179,49 @@ class TestSumAmplitudeTable:
     @pytest.mark.parametrize("phase", [1e308, -1e308, math.inf])
     def test_huge_phase_is_refused_without_a_warning(self, phase):
         # filterwarnings = error: a numpy RuntimeWarning would surface instead
+        s = bl.MeasurementSettings(phase, 0.0, 0.0, 0.0)
         with pytest.raises(NormalizationError, match="non-finite"):
-            bl.sum_amplitude_table(3, bl.MeasurementSettings(phase, 0.0, 0.0, 0.0))
+            bl.sum_amplitude_table(3, s)
+        # the distributions pass the same gate
+        with pytest.raises(NormalizationError, match="non-finite"):
+            bl.sum_distributions(3, s)
+
+
+def table_path_values(d, s=None):
+    """Bell and CGLMP values of the sum-amplitude table, through the d^2 table evaluators."""
+    table = bl.sum_amplitude_table(d, s)
+    return bl.bell_expression(table), bl.cglmp_expression(table.conjugate_second_party())
+
+
+def sum_path_values(d, s=None):
+    """The same two values from the (2, 2, d) outcome-sum distributions, in O(d)."""
+    dists = bl.sum_distributions(d, s)
+    return core._sum_class_bell(dists), core._sum_class_cglmp(dists)
+
+
+class TestSumDistributions:
+    """The O(d) evaluators of scan and optimize against the table path."""
+
+    def test_matches_table_path_canonical(self):
+        for d in range(2, 65):
+            assert np.abs(np.subtract(sum_path_values(d), table_path_values(d))).max() < 1e-12
+
+    @given(
+        st.integers(2, 40),
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_table_path_drawn_settings(self, d, phases):
+        s = bl.MeasurementSettings(*phases)
+        assert np.abs(np.subtract(sum_path_values(d, s), table_path_values(d, s))).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 17, 64])
+    def test_is_d_times_a_row_of_the_table(self, d):
+        # one FFT builder: the table's row m = 0 holds each class once
+        s = bl.random_settings(np.random.default_rng(d))
+        dists = bl.sum_distributions(d, s)
+        assert np.array_equal(dists, d * bl.sum_amplitude_table(d, s).p[:, :, 0, :])
+        assert not dists.flags.writeable
 
 
 def rolled_shift_deviation(t):
