@@ -199,12 +199,16 @@ def scan_dimensions(d_max) -> ScanResult:
     rows = []
     for d in range(2, d_max + 1):
         lhv_max = enumerate_strategies(d).max_value if d <= SCAN_LHV_LIMIT else None
+        # one spin-projection distribution per row: these are the expressions
+        # quantum_bell_value and noise_threshold return
+        q = canonical_correlation(d)
+        bell = 4.0 * q
         rows.append(
             ScanRow(
                 d=d,
-                q_correlation=canonical_correlation(d),
-                bell_quantum=quantum_bell_value(d),
-                p_threshold=noise_threshold(d),
+                q_correlation=q,
+                bell_quantum=bell,
+                p_threshold=2.0 / bell,
                 cglmp_value=_sum_class_cglmp(sum_distributions(d)),
                 lhv_max=lhv_max,
             )

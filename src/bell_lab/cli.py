@@ -31,6 +31,8 @@ from .errors import BellLabError
 SCHEMA_VERSION = 1
 # one column per analysis.ScanRow field, in field order
 SCAN_COLUMNS = ("d", "Q_d", "I_d_QM", "p_threshold", "cglmp_value", "lhv_max")
+# floats per block of rows that _fmt.join_rows formats at once
+_FLOAT_BLOCK = 1 << 14
 
 
 def fmt10(x) -> str:
@@ -57,13 +59,25 @@ def _json_pieces(obj, indent: str = ""):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces.
 
     ``indent`` is the indentation of the line that ``obj`` starts on.  A
-    non-empty list of finite floats is one piece, the ``float.__repr__`` of its
-    items joined by the list's separator; json prints every float instance
-    with that repr, so the bytes are the same.  Scalars and keys go through
-    ``json.dumps`` itself, which keeps its escapes, ``NaN``/``Infinity`` and
-    key conversions.
+    numpy array is written as its nested lists (``obj.tolist()``).  A 2-D
+    float64 array of finite values, such as a setting pair of ``quantum``,
+    is written ``_FLOAT_BLOCK`` floats at a time by ``_fmt.join_rows``.  json
+    prints every float with ``float.__repr__``, and ``join_rows`` writes the
+    bytes of that repr: the shortest decimal that reads back as the float,
+    found in numpy from an exact double-double scaling by a power of ten.
+    The entries it cannot settle that way get ``float.__repr__`` itself:
+    decisions within a small tolerance of a rounding tie or of an end of the
+    rounding interval, 13 significant digits or fewer, powers of two, and
+    values outside [1e-99, 1), zero, negatives, subnormals and values from 1
+    up.  Everything else goes through ``json.dumps`` itself, which keeps its
+    escapes, ``NaN``/``Infinity`` and key conversions.
     """
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64 and np.isfinite(obj).all():
+            yield from _float_matrix_pieces(obj, indent)
+        else:
+            yield from _json_pieces(obj.tolist(), indent)
+    elif isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
@@ -81,14 +95,6 @@ def _json_pieces(obj, indent: str = ""):
             return
         inner = indent + "  "
         comma = ",\n" + inner
-        try:
-            row = comma.join(map(float.__repr__, obj))
-        except TypeError:  # an item that is not a float
-            row = None
-        # repr spells every non-finite float with an "n" (nan, inf), json does not
-        if row is not None and "n" not in row:
-            yield "[\n" + inner + row + "\n" + indent + "]"
-            return
         sep = "[\n" + inner
         for value in obj:
             yield sep
@@ -99,11 +105,29 @@ def _json_pieces(obj, indent: str = ""):
         yield json.dumps(obj)
 
 
+def _float_matrix_pieces(a: np.ndarray, indent: str):
+    # imported on first use: only quantum's tables need it, so start-up and
+    # the other commands do not load it
+    from . import _fmt
+
+    inner = indent + "  "
+    leaf = inner + "  "
+    row_sep = "\n" + inner + "],\n" + inner + "[\n" + leaf
+    rows = max(1, _FLOAT_BLOCK // a.shape[1])
+    yield "[\n" + inner + "[\n" + leaf
+    for start in range(0, len(a), rows):
+        if start:
+            yield row_sep
+        yield _fmt.join_rows(a[start : start + rows], ",\n" + leaf, row_sep)
+    yield "\n" + inner + "]\n" + indent + "]"
+
+
 def _emit_json(obj) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline to stdout, piece by piece.
 
     The pure-Python encoder that ``indent`` selects builds the whole text from
-    about two chunks per float, then copies it; the pieces here are whole rows.
+    about two chunks per float, then copies it; here a table's floats come in
+    blocks of rows.
     """
     write = sys.stdout.write
     for piece in _json_pieces(obj):
@@ -151,7 +175,7 @@ def cmd_quantum(args) -> tuple[dict, list, int]:
         "d": d,
         "phases": [float(x) for x in settings.as_tuple()],
         # table entries keep full precision so a re-read reproduces the Bell value
-        "tables": table.to_json_dict()["tables"],
+        "tables": {key: table.subtable(i, j) for (i, j), key in zip(core.SETTING_PAIRS, core.PAIR_KEYS)},
         "summary": {
             "d": d,
             "Q_d": round10(quantum.canonical_correlation(d)),

@@ -156,12 +156,13 @@ def _spin_weights(d: int, g: np.ndarray) -> np.ndarray:
     return (d - 1) - 2 * ((orient * g) % d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def correlation_kernel(d) -> np.ndarray:
     """Kernel numerators 2 * f_ij(m, n) at ``[i-1, j-1, m, n]``, over the denominator d - 1.
 
     They are the spin weights of the sum mapping, returned as one cached
-    read-only int64 (2, 2, d, d) array.
+    read-only int64 (2, 2, d, d) array.  The cache keeps the kernels of the
+    eight dimensions used last, so a loop over d holds eight, not all.
     """
     d = check_dimension(d)
     kern = _spin_weights(d, OutcomeMapping.sum_mapping(d).table)
@@ -305,8 +306,8 @@ class JointProbabilityTable:
         """Table from a parsed JSON document, normalized to within ``FILE_TOL``.
 
         Each setting pair's shape is checked against ``"d"``, and each of its
-        entries must be an int or a float, before the four pairs are stacked
-        into the (2, 2, d, d) array.
+        entries must be an int or a float, before it is copied into its place
+        in the (2, 2, d, d) array.
         """
         if not isinstance(obj, dict):
             raise TableFormatError("table document must be a JSON object")
@@ -318,8 +319,8 @@ class JointProbabilityTable:
         tables = obj["tables"]
         if not isinstance(tables, dict):
             raise TableFormatError('"tables" must be an object keyed by setting pair')
-        arrays = []
-        for key in PAIR_KEYS:
+        p = None
+        for (i, j), key in zip(SETTING_PAIRS, PAIR_KEYS):
             if key not in tables:
                 raise TableFormatError(f'missing setting pair "{key}"')
             sub = tables[key]
@@ -334,8 +335,10 @@ class JointProbabilityTable:
             # the float conversion above also reads "0.25", true and null
             if not all(set(map(type, row)) <= {int, float} for row in sub):
                 raise TableFormatError(f'setting pair "{key}" has an entry that is not a JSON number')
-            arrays.append(arr)
-        return cls.from_array(np.reshape(arrays, (2, 2, d, d)), tol=FILE_TOL)
+            if p is None:  # only now: a huge "d" over small pairs fails the shape check, not here
+                p = np.empty((2, 2, d, d))
+            p[i - 1, j - 1] = arr
+        return cls.from_array(p, tol=FILE_TOL)
 
 
 def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
@@ -367,6 +370,7 @@ def load_table(path) -> JointProbabilityTable:
         raise TableFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise TableFormatError(f"{path}: JSON nested too deeply to read") from exc
+    del text  # the parsed lists and the table's array are all the read holds
     return JointProbabilityTable.from_json_dict(obj)
 
 

@@ -250,6 +250,19 @@ class TestScan:
             assert abs(row.p_threshold - bl.noise_threshold(row.d)) < 1e-12
             assert row.lhv_max == 2
 
+    def test_columns_are_the_bits_of_the_public_functions(self):
+        for row in bl.scan_dimensions(400).rows:
+            assert row.q_correlation == bl.canonical_correlation(row.d)
+            assert row.bell_quantum == bl.quantum_bell_value(row.d)
+            assert row.p_threshold == bl.noise_threshold(row.d)
+
+    def test_one_spin_projection_distribution_per_row(self, monkeypatch):
+        calls = []
+        build = quantum.spin_projection_distribution
+        monkeypatch.setattr(quantum, "spin_projection_distribution", lambda d: (calls.append(d), build(d))[1])
+        bl.scan_dimensions(30)
+        assert calls == list(range(2, 31))
+
     def test_cglmp_column_prints_as_the_table_path(self):
         # the O(d) fold over the sum distributions, at the 10 digits scan prints
         for row in bl.scan_dimensions(400).rows:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import bell_lab
 from bell_lab import analysis, cli, core, lhv, quantum
 from bell_lab.errors import DimensionError
+from conftest import as_lists
 
 
 def run_cli(capsys, *argv):
@@ -698,6 +699,11 @@ class TestGoldenStdout:
         "optimize --d 8 --seed 3 --format json": "4554464185ba5acdb257c3ed813d9f2ae708ed8861befde3b7e32cf1ce6010c3",
         "quantum --d 64": "33c2e11e4e84393d6f58ef3313b1432da0657a0218728f5a01dfdb20d440543f",
         "quantum --d 384": "9fbf48aec96052a8c4c5f248bb68b16455e7646e4d213c868d063c7202ffc8a4",
+        # tables whose entries take float.__repr__ more often (small d) or lie
+        # near 1, recorded before the table floats were formatted in numpy
+        "quantum --d 2": "b9143280a9fc744bc81cd7fd8d39541583573fe38b961c6b1e22d8a768b09cf8",
+        "quantum --d 3": "aa1c41391959851d9d04ac0cf33bd2d283c596c7a67b861d2fc9d7ba1fd6b8bb",
+        "quantum --d 200 --phases 0.1,0.2,0.3,0.4": "9d15e74ce8fe895350a11530bc58e7b91dd612df2adb2fabbece531b4c0c1b0f",
         # the scan CSV (rows with lhv_max and rows that leave it empty) and the
         # lhv text and sampled JSON layouts, recorded before they moved into cli
         "scan --dmax 20": "fc722337e4aa1c72b1b04ba3802e65cc34ec9223dd472bf90ca35494340ac039",
@@ -769,6 +775,30 @@ class TestGoldenStdout:
 json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7, 1e300])
 json_keys = st.text() | st.integers() | json_floats | st.booleans() | st.none()
 json_scalars = st.none() | st.booleans() | st.integers() | json_floats | st.text()
+# (rows, cols, family, seed, specials) of a float matrix: large ones cross
+# the emitter's blocks of _FLOAT_BLOCK floats
+float_matrices = st.tuples(
+    st.integers(1, 40),
+    st.integers(1, 700),
+    st.sampled_from(["probabilities", "log-uniform", "bits"]),
+    st.integers(0, 2**32 - 1),
+    st.lists(json_floats, max_size=3),
+)
+
+
+def make_matrix(rows, cols, family, seed, specials):
+    rng = np.random.default_rng(seed)
+    if family == "probabilities":
+        x = rng.random((rows, cols))
+        x /= x.sum()
+    elif family == "log-uniform":
+        x = 10.0 ** rng.uniform(-30, 0, (rows, cols))
+    else:
+        x = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64).view(np.float64)
+    x.ravel()[rng.integers(0, x.size, len(specials))] = specials
+    return x
+
+
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=4)
@@ -803,6 +833,36 @@ class TestJsonEmitter:
             "".join(cli._json_pieces(obj))
         assert str(got.value) == str(expected.value)
 
+    @given(float_matrices)
+    @settings(max_examples=60, deadline=None)
+    def test_float_matrices_are_json_dumps_of_their_lists(self, spec):
+        a = make_matrix(*spec)
+        report = {"d": 3, "tables": {"11": a, "12": [a[0].tolist()]}}
+        assert "".join(cli._json_pieces(report)) == json.dumps(as_lists(report), indent=2)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+    def test_float_matrices_in_blocks_of_rows(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_FLOAT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for shape in [(1, 1), (1, 50), (50, 1), (9, 8), (300, 200)]:
+            a = rng.random(shape) ** 8
+            assert "".join(cli._json_pieces([a])) == json.dumps([a.tolist()], indent=2)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.5, float("nan")], [float("inf"), 0.25]]),
+            np.zeros((2, 0)),
+            np.zeros((0, 3)),
+            np.arange(6).reshape(2, 3),
+            np.linspace(0, 1, 5),
+            np.ones((2, 2, 2)) / 8,
+            np.array([[0.1, 0.2]], dtype=np.float32),
+        ],
+    )
+    def test_other_arrays_are_their_lists(self, a):
+        assert "".join(cli._json_pieces({"a": a})) == json.dumps({"a": a.tolist()}, indent=2)
+
     def test_quantum_stdout_is_json_dumps_of_the_report(self, capsys, monkeypatch):
         reports = []
         emit = cli._emit_json
@@ -810,7 +870,7 @@ class TestJsonEmitter:
         for d in range(2, 25):
             code, out, _ = run_cli(capsys, "quantum", "--d", str(d))
             assert code == 0
-            assert out == json.dumps(reports[-1], indent=2) + "\n"
+            assert out == json.dumps(as_lists(reports[-1]), indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -835,6 +895,6 @@ class TestJsonEmitter:
         code, out, _ = run_cli(capsys, *[str(table) if a == "{table}" else a for a in argv.split()])
         assert code == 0
         [report] = reports
-        assert out == json.dumps(report, indent=2) + "\n"
+        assert out == json.dumps(as_lists(report), indent=2) + "\n"
         assert next(iter(report)) == "schema_version"
         assert report["schema_version"] == cli.SCHEMA_VERSION

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bell_lab as bl
-from bell_lab import core, lhv
+from bell_lab import cli, core, lhv
 from bell_lab.errors import (
     DimensionError,
     MappingError,
@@ -285,6 +285,19 @@ class TestKernel:
             for (i, j), o in zip(core.SETTING_PAIRS, core.PAIR_ORIENT):
                 # weight 2 * (S - k) of the spin projection S - k, k = (o * g) mod d
                 assert np.array_equal(kern[i - 1, j - 1], (d - 1) - 2 * ((o * g) % d))
+
+    def test_kernel_cache_is_bounded(self):
+        for d in range(2, 60):
+            bl.correlation_kernel(d)
+        info = bl.correlation_kernel.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+        assert bl.correlation_kernel(59) is bl.correlation_kernel(59)
+
+    def test_check_builds_its_kernel_once(self, capsys):
+        bl.correlation_kernel.cache_clear()
+        assert cli.run(["check", "--d", "16"]) == 0
+        capsys.readouterr()
+        assert bl.correlation_kernel.cache_info().misses == 1
 
     def test_kernel_depends_only_on_sum_mod_d(self):
         kern = bl.correlation_kernel(7)
