@@ -13,8 +13,13 @@ I = Q_11 + Q_12 - Q_21 + Q_22.
 
 All kernel weights are rationals with denominator d - 1 (after doubling), so
 correlations of exactly-represented tables can be evaluated in exact rational
-arithmetic alongside the floating-point path.  A table is checked once, when
-it is made; the evaluators take it as a valid behaviour.
+arithmetic alongside the floating-point path.  An exact table keeps integer
+numerators over one denominator: int64 while every exact sum taken of them
+fits in int64 and their float quotients are correctly rounded, Python ints
+otherwise (see ``JointProbabilityTable``).  The Bell weights
+``bell_weights(d)`` turn an exact Bell value into one integer dot product.  A
+table is checked once, when it is made; the evaluators take it as a valid
+behaviour.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ PAIR_ORIENT = (1, -1, 1, 1)
 # tables parsed from text files get a looser gate.
 INTERNAL_TOL = 1e-12
 FILE_TOL = 1e-9
+
+# Bounds of the int64 storage of exact numerators (see JointProbabilityTable).
+_FLOAT_EXACT_LIMIT = 2**53
+_INT64_LIMIT = 2**63
 
 
 def check_dimension(d) -> int:
@@ -170,6 +179,21 @@ def correlation_kernel(d) -> np.ndarray:
     return kern
 
 
+@lru_cache(maxsize=8)
+def bell_weights(d) -> np.ndarray:
+    """Bell numerators ``PAIR_SIGNS`` times ``correlation_kernel(d)``, over the denominator d - 1.
+
+    Summed against a table they give its Bell expression in one product:
+    I = sum(bell_weights(d) * p) / (d - 1).  One cached read-only int64
+    (2, 2, d, d) array.  Each row of each pair is a permutation of the
+    weights (d - 1) - 2k, k = 0..d-1, so each pair sums to zero.
+    """
+    d = check_dimension(d)
+    weights = np.reshape(PAIR_SIGNS, (2, 2, 1, 1)) * correlation_kernel(d)
+    weights.setflags(write=False)
+    return weights
+
+
 def _check_probabilities(p: np.ndarray, tol: float) -> None:
     """The gate of float probabilities: finite, none below -tol, pair sums within tol of 1.
 
@@ -197,10 +221,20 @@ class JointProbabilityTable:
     every route to a table calls, is the one place a table is checked: d, the
     (2, 2, d, d) shape, finite non-negative entries and pair sums of 1 within
     ``_tol`` (set only by ``from_array``).  It stores read-only copies.  An
-    exact table is made from ``numerators`` alone, Python ints whose four
-    pairs sum to one ``denominator``, and its ``p`` is computed from them.
-    Python ints keep correlations of point masses, uniform noise and rational
-    mixtures exact even when the denominator passes 2**63.
+    exact table is made from ``numerators`` alone, integers whose four pairs
+    sum to one ``denominator``, and its ``p`` is computed from them.  They
+    are stored as int64 when the denominator is at most 2**53 and
+    4(d - 1) * denominator < 2**63, and as Python ints (dtype object)
+    otherwise.  The first bound makes every numerator and the denominator
+    exact in float64, so ``p`` holds the correctly rounded quotients, the
+    bits Python-int division gives.  The second bounds the kernel sums the
+    evaluators take: a pair's weights lie within +-(d - 1) and its
+    numerators sum to the denominator, so no sum over the four pairs wraps.
+    Python ints keep correlations of rational mixtures exact when the
+    denominator passes those bounds.  The input may be an integer array of
+    any dtype or nested sequences of Python ints; each flaw raises the same
+    error whatever the input's dtype, and pair sums are taken so that none
+    wraps around.
     """
 
     d: int
@@ -222,21 +256,32 @@ class JointProbabilityTable:
         else:
             if self.p is not None:
                 raise TypeError("an exact table takes numerators only: p is computed from them")
-            numerators = np.array(self.numerators, dtype=object)
-            if numerators.shape != shape or set(map(type, numerators.flat)) != {int}:
-                raise TableFormatError(f"expected {shape} Python-int numerators, got {numerators.shape}")
-            if numerators.min() < 0:
-                raise NormalizationError("exact table contains negative entries")
-            sums = numerators.sum(axis=(2, 3))
-            denominator = sums[0, 0]
-            for si, sj in np.ndindex(2, 2):
-                if sums[si, sj] != denominator or denominator == 0:
+            numerators = self.numerators
+            # an int64 array whose pair sums cannot wrap is summed as it is;
+            # anything else is checked entry by entry as Python ints
+            if not (
+                isinstance(numerators, np.ndarray)
+                and numerators.dtype == np.int64
+                and numerators.shape == shape
+                and numerators.min() >= 0
+                and numerators.max() <= (_INT64_LIMIT - 1) // (d * d)
+            ):
+                numerators = np.array(numerators, dtype=object)
+                if numerators.shape != shape or set(map(type, numerators.flat)) != {int}:
+                    raise TableFormatError(f"expected {shape} Python-int numerators, got {numerators.shape}")
+                if numerators.min() < 0:
+                    raise NormalizationError("exact table contains negative entries")
+            sums = numerators.sum(axis=(2, 3)).ravel().tolist()
+            denominator = sums[0]
+            for (i, j), total in zip(SETTING_PAIRS, sums):
+                if total != denominator or denominator == 0:
                     raise NormalizationError(
-                        f"setting pair ({si + 1},{sj + 1}) sums to "
-                        f"{Fraction(sums[si, sj], denominator or 1)}, expected 1"
+                        f"setting pair ({i},{j}) sums to {Fraction(total, denominator or 1)}, expected 1"
                     )
+            small = denominator <= _FLOAT_EXACT_LIMIT and 4 * (d - 1) * denominator < _INT64_LIMIT
+            numerators = numerators.astype(np.int64 if small else object)
             numerators.setflags(write=False)
-            p = (numerators / denominator).astype(float)
+            p = (numerators / denominator).astype(float, copy=False)
             vars(self).update(numerators=numerators, denominator=denominator)  # frozen: set via __dict__
         p.setflags(write=False)
         vars(self).update(d=d, p=p)
@@ -382,13 +427,22 @@ def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
     i, j = _check_setting(i), _check_setting(j)
     num = correlation_kernel(t.d)[i - 1, j - 1]
     if t.is_exact:
-        total = (t.numerators[i - 1, j - 1] * num).sum()
-        return Fraction(total, t.denominator * (t.d - 1))
+        total = np.vdot(t.numerators[i - 1, j - 1], num)
+        return Fraction(int(total), t.denominator * (t.d - 1))
     return float((num * t.p[i - 1, j - 1]).sum()) / (t.d - 1)
 
 
 def bell_expression(t: JointProbabilityTable) -> Fraction | float:
-    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns."""
+    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns.
+
+    On an exact table it is one integer dot product of the numerators with
+    ``bell_weights(d)`` over denominator * (d - 1), which the table's storage
+    rule keeps from wrapping.  On a float table it is the signed sum of the
+    four ``correlation`` values, in that order.
+    """
+    if t.is_exact:
+        total = np.vdot(t.numerators, bell_weights(t.d))
+        return Fraction(int(total), t.denominator * (t.d - 1))
     return _pair_sum(correlation(t, i, j) for i, j in SETTING_PAIRS)
 
 
@@ -445,8 +499,8 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
     if t.is_exact:
         signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
-        total = (t.numerators * (signs * _spin_weights(t.d, mapping.table))).sum()
-        return Fraction(total, t.denominator * (t.d - 1))
+        total = np.vdot(t.numerators, signs * _spin_weights(t.d, mapping.table))
+        return Fraction(int(total), t.denominator * (t.d - 1))
     spins = (t.d - 1) / 2.0 - np.arange(t.d)
     dists = (_mapped_distribution(p, mapping, o) for p, o in zip(t.p.reshape(4, t.d, t.d), PAIR_ORIENT))
     total = _pair_sum(float((spins * dist).sum()) for dist in dists)

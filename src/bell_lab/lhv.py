@@ -37,10 +37,18 @@ CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "
 
 
 def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
-    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1."""
-    s = tuple(int(x) for x in s)
+    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1.
+
+    Only Python ints and numpy integers are outcomes: a bool, a float or a
+    string raises ``TypeError`` instead of being converted.
+    """
+    s = tuple(s)
     if len(s) != 4:
         raise TypeError(f"a strategy has four outcomes (a1, a2, b1, b2), got {len(s)}")
+    for x in s:
+        if type(x) is not int and not isinstance(x, np.integer):
+            raise TypeError(f"strategy outcomes must be integers, got {x!r}")
+    s = tuple(map(int, s))
     for x in s:
         if not 0 <= x < d:
             raise DimensionError(f"strategy outcomes must lie in 0..{d - 1}, got {s}")
@@ -119,10 +127,14 @@ def case_value_set(label: str, d) -> frozenset[Fraction]:
 
 
 def strategy_to_table(s, d) -> JointProbabilityTable:
-    """Point-mass probability table of a deterministic strategy (exact)."""
+    """Point-mass probability table of a deterministic strategy (exact).
+
+    Each setting pair holds a single int64 numerator 1 over the denominator
+    1, so the table keeps its numerators as int64.
+    """
     d = check_dimension(d)
     a1, a2, b1, b2 = _coerce_strategy(s, d)
-    counts = np.zeros((2, 2, d, d), dtype=object)
+    counts = np.zeros((2, 2, d, d), dtype=np.int64)
     counts[[0, 0, 1, 1], [0, 1, 0, 1], [a1, a1, a2, a2], [b1, b2, b1, b2]] = 1
     return JointProbabilityTable(d, numerators=counts)
 

@@ -24,7 +24,7 @@ from bell_lab.errors import (
     TableFormatError,
 )
 
-from conftest import random_rational_table, random_table
+from conftest import assert_storage_rule, random_rational_table, random_table
 
 
 def weight_direct(x, d) -> Fraction:
@@ -207,7 +207,7 @@ def _exact_build(tables):
         t = bl.JointProbabilityTable.from_fractions(tables)
     except Exception as exc:
         return type(exc), str(exc)
-    assert all(type(x) is int for x in t.numerators.flat)
+    assert_storage_rule(t)
     return t.d, t.numerators.tolist(), t.denominator, t.p.shape, t.p.tobytes()
 
 

@@ -64,6 +64,32 @@ class TestStrategyValue:
             with pytest.raises(TypeError):
                 evaluate(s, 3)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            (0.9, 0, 0, 0),  # used to truncate to the value 2 of (0, 0, 0, 0)
+            (1.7, 0, True, 0),  # used to build the table of (1, 0, 1, 0)
+            ("1", 0, 0, 0),  # used to evaluate to -1
+            (True, 0, 0, 0),
+            (0, 0, 0, np.bool_(False)),
+            (0, np.float64(1.0), 0, 0),
+            (F(1), 0, 0, 0),
+            (0, 0, 1 + 0j, 0),
+        ],
+    )
+    def test_rejects_outcomes_that_are_not_integers(self, s):
+        for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
+            with pytest.raises(TypeError, match="strategy outcomes must be integers"):
+                evaluate(s, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+    def test_numpy_integer_outcomes_are_ints(self, dtype):
+        for s in [(0, 1, 2, 1), (2, 2, 0, 1)]:
+            t = bl.strategy_to_table(tuple(dtype(x) for x in s), 3)
+            assert t.numerators.tolist() == bl.strategy_to_table(s, 3).numerators.tolist()
+            assert bl.strategy_bell_value(np.array(s, dtype=dtype), 3) == bl.strategy_bell_value(s, 3)
+            assert bl.classify_strategy(np.array(s, dtype=dtype), 3) == bl.classify_strategy(s, 3)
+
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_closed_form_equals_table_evaluation(self, d, data):
