@@ -51,12 +51,17 @@ def noise_threshold(d) -> float:
 def noise_threshold_bisect(table: JointProbabilityTable) -> float:
     """Visibility where the table, mixed with uniform noise, crosses 2.
 
-    Each step evaluates ``noisy_table`` until the visibility bracket is
+    The Bell value of the mixture is linear in the visibility v, so the Bell
+    expression is evaluated once on the table and once on the uniform table
+    (``noisy_table`` at v = 0), and each step bisects
+    v * full + (1 - v) * uniform - 2 until the visibility bracket is
     narrower than 1e-10.  A table whose Bell value is below 2 raises ``ValueError``.
     """
+    full = bell_expression(table)
+    uniform = bell_expression(noisy_table(table, 0.0))
 
     def margin(v: float) -> float:
-        return bell_expression(noisy_table(table, v)) - 2.0
+        return v * full + (1.0 - v) * uniform - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:

@@ -33,6 +33,8 @@ SCHEMA_VERSION = 1
 SCAN_COLUMNS = ("d", "Q_d", "I_d_QM", "p_threshold", "cglmp_value", "lhv_max")
 # floats per block of rows that _fmt.join_rows formats at once
 _FLOAT_BLOCK = 1 << 14
+# stands in for a float matrix in the text of json.dumps; argv cannot hold NUL
+_MATRIX = "\0matrix\0"
 
 
 def fmt10(x) -> str:
@@ -44,65 +46,42 @@ def round10(x) -> float:
     return float(fmt10(x))
 
 
-def _json_key(key) -> str:
-    # json.dumps turns int, float, bool and None keys into their JSON text
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        key = json.dumps(key)
-    return json.dumps(key)
+def _array_list(o):
+    # the default of json.dumps: arrays as nested lists, anything else json's own TypeError
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _json_pieces(obj, indent: str = ""):
+def _json_pieces(obj):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces.
 
-    ``indent`` is the indentation of the line that ``obj`` starts on.  A
-    numpy array is written as its nested lists (``obj.tolist()``).  A 2-D
-    float64 array of finite values, such as a setting pair of ``quantum``,
-    is written ``_FLOAT_BLOCK`` floats at a time by ``_fmt.join_rows``.  json
-    prints every float with ``float.__repr__``, and ``join_rows`` writes the
-    bytes of that repr: the shortest decimal that reads back as the float,
-    found in numpy from an exact double-double scaling by a power of ten.
-    The entries it cannot settle that way get ``float.__repr__`` itself:
-    decisions within a small tolerance of a rounding tie or of an end of the
-    rounding interval, 13 significant digits or fewer, powers of two, and
-    values outside [1e-99, 1), zero, negatives, subnormals and values from 1
-    up.  Everything else goes through ``json.dumps`` itself, which keeps its
-    escapes, ``NaN``/``Infinity`` and key conversions.
+    A numpy array is written as its nested lists.  ``json.dumps`` writes the
+    report with the string ``_MATRIX`` in place of each 2-D float64 array of
+    finite values, such as a setting pair of ``quantum``.  The array's text
+    then fills that place, ``_FLOAT_BLOCK`` floats at a time, from
+    ``_fmt.join_rows``: the bytes of ``float.__repr__``, which json prints
+    for every float (``_fmt`` says how).  A report that holds ``_MATRIX`` as
+    a string of its own is written by ``json.dumps`` alone.
     """
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.size and obj.dtype == np.float64 and np.isfinite(obj).all():
-            yield from _float_matrix_pieces(obj, indent)
-        else:
-            yield from _json_pieces(obj.tolist(), indent)
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        comma = ",\n" + inner
-        sep = "{\n" + inner
-        for key, value in obj.items():
-            yield sep + _json_key(key) + ": "
-            yield from _json_pieces(value, inner)
-            sep = comma
-        yield "\n" + indent + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = indent + "  "
-        comma = ",\n" + inner
-        sep = "[\n" + inner
-        for value in obj:
-            yield sep
-            yield from _json_pieces(value, inner)
-            sep = comma
-        yield "\n" + indent + "]"
-    else:
-        yield json.dumps(obj)
+    matrices = []
+
+    def default(o):
+        float_matrix = isinstance(o, np.ndarray) and o.ndim == 2 and o.size and o.dtype == np.float64
+        if float_matrix and np.isfinite(o).all():
+            matrices.append(o)
+            return _MATRIX
+        return _array_list(o)
+
+    gaps = json.dumps(obj, indent=2, default=default).split(json.dumps(_MATRIX))
+    if len(gaps) != len(matrices) + 1:
+        yield json.dumps(obj, indent=2, default=_array_list)
+        return
+    yield gaps[0]
+    for a, before, gap in zip(matrices, gaps, gaps[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        yield from _float_matrix_pieces(a, " " * (len(line) - len(line.lstrip(" "))))
+        yield gap
 
 
 def _float_matrix_pieces(a: np.ndarray, indent: str):
@@ -125,9 +104,9 @@ def _float_matrix_pieces(a: np.ndarray, indent: str):
 def _emit_json(obj) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline to stdout, piece by piece.
 
-    The pure-Python encoder that ``indent`` selects builds the whole text from
-    about two chunks per float, then copies it; here a table's floats come in
-    blocks of rows.
+    The pure-Python encoder that ``indent`` selects would build the whole text
+    from about two chunks per float, then copy it; here it writes only the
+    text around the float matrices, whose floats come in blocks of rows.
     """
     write = sys.stdout.write
     for piece in _json_pieces(obj):

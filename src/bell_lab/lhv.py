@@ -36,8 +36,8 @@ _SAMPLE_CHUNK = 1 << 16
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
 
 
-def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
-    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1.
+def _integer_outcomes(s) -> tuple[int, int, int, int]:
+    """The outcomes (a1, a2, b1, b2) as ints.
 
     Only Python ints and numpy integers are outcomes: a bool, a float or a
     string raises ``TypeError`` instead of being converted.
@@ -48,7 +48,12 @@ def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
     for x in s:
         if type(x) is not int and not isinstance(x, np.integer):
             raise TypeError(f"strategy outcomes must be integers, got {x!r}")
-    s = tuple(map(int, s))
+    return tuple(map(int, s))
+
+
+def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
+    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1."""
+    s = _integer_outcomes(s)
     for x in s:
         if not 0 <= x < d:
             raise DimensionError(f"strategy outcomes must lie in 0..{d - 1}, got {s}")
@@ -59,8 +64,10 @@ def outcome_sums(s) -> tuple[int, int, int, int]:
     """The four setting-pair outcome sums (r11, r12, r21, r22).
 
     They satisfy r11 + r22 = r12 + r21 because each outcome appears in two sums.
+    The outcomes must be integers, as in ``strategy_bell_value``, but may lie
+    outside 0..d-1.
     """
-    a1, a2, b1, b2 = (int(x) for x in s)
+    a1, a2, b1, b2 = _integer_outcomes(s)
     return a1 + b1, a1 + b2, a2 + b1, a2 + b2
 
 
@@ -112,15 +119,10 @@ def case_value_set(label: str, d) -> frozenset[Fraction]:
     d = check_dimension(d)
     s = spin(d)
     two, mid, low = Fraction(2), -1 / s, -2 * (s + 1) / s
-    sets = {
-        "Case1i": (two, mid),
-        "Case1ii": (mid, low),
-        "Case2i": (two,),
-        "Case2ii": (two, mid),
-        "Case2iii": (mid, low),
-        "Case3i": (two, mid),
-        "Case3ii": (two,),
-    }
+    # one value set per label, in CASE_LABELS order
+    sets = dict(
+        zip(CASE_LABELS, [(two, mid), (mid, low), (two,), (two, mid), (mid, low), (two, mid), (two,)])
+    )
     if label not in sets:
         raise ValueError(f"unknown case label {label!r}")
     return frozenset(sets[label])

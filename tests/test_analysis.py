@@ -87,6 +87,36 @@ class TestNoise:
                 checked += 1
         assert checked >= 20
 
+    @staticmethod
+    def table_bisection(table):
+        # the bisection as it was: a noisy table built and evaluated per step
+        def margin(v):
+            return bl.bell_expression(bl.noisy_table(table, v)) - 2.0
+
+        lo, hi = 0.0, 1.0
+        assert margin(hi) >= 0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if margin(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    def test_linear_bisection_matches_the_table_bisection(self):
+        for d in range(2, 65):
+            for table in (bl.born_table(d), quantum.sum_amplitude_table(d)):
+                assert bl.noise_threshold_bisect(table) == self.table_bisection(table)
+
+    def test_linear_bisection_matches_on_random_settings(self):
+        rng = np.random.default_rng(2121)
+        checked = 0
+        while checked < 40:
+            table = bl.born_table(int(rng.integers(2, 17)), bl.random_settings(rng))
+            if bl.bell_expression(table) > 2.0:
+                assert bl.noise_threshold_bisect(table) == self.table_bisection(table)
+                checked += 1
+
     def test_bisection_rejects_a_table_that_does_not_violate(self, rng):
         uniform = bl.JointProbabilityTable.from_array(np.full((2, 2, 3, 3), 1 / 9))
         for table in (uniform, random_table(4, rng)):
@@ -114,6 +144,13 @@ class TestWorkCounts:
         threshold = bl.noise_threshold_bisect(bl.born_table(12))
         assert table_builds == []
         assert abs(threshold - bl.noise_threshold(12)) < 1e-10
+
+    def test_bisection_builds_one_noisy_table(self, monkeypatch):
+        calls = []
+        real = analysis.noisy_table
+        monkeypatch.setattr(analysis, "noisy_table", lambda t, v: calls.append(v) or real(t, v))
+        bl.noise_threshold_bisect(bl.born_table(12))
+        assert calls == [0.0]
 
     def test_optimizer_builds_each_phase_tuple_once(self, table_builds):
         start = bl.random_settings(np.random.default_rng(1))

@@ -863,6 +863,24 @@ class TestJsonEmitter:
     def test_other_arrays_are_their_lists(self, a):
         assert "".join(cli._json_pieces({"a": a})) == json.dumps({"a": a.tolist()}, indent=2)
 
+    @pytest.mark.parametrize("where", ["key", "value", "list"])
+    def test_marker_text_in_the_report_is_json_dumps(self, where):
+        # a string equal to the marker makes more markers than matrices
+        a = np.random.default_rng(3).random((4, 5)) ** 8
+        m = cli._MATRIX
+        obj = {
+            "key": {m: 1, "t": a},
+            "value": {"s": m, "t": a},
+            "list": {"t": [m, a, f'"{m}']},
+        }[where]
+        assert "".join(cli._json_pieces(obj)) == json.dumps(as_lists(obj), indent=2)
+
+    def test_float_matrices_at_different_depths(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.random((3, 7)) ** 8, rng.random((6, 2)) / 3
+        for obj in [[a, {"x": [{"y": b}]}], {"p": {"q": [[b]]}, "a": a}, a]:
+            assert "".join(cli._json_pieces(obj)) == json.dumps(as_lists(obj), indent=2)
+
     def test_quantum_stdout_is_json_dumps_of_the_report(self, capsys, monkeypatch):
         reports = []
         emit = cli._emit_json

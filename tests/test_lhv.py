@@ -44,6 +44,16 @@ class TestStrategyValue:
 
     def test_outcome_sums(self):
         assert bl.outcome_sums((1, 2, 3, 4)) == (4, 5, 5, 6)
+        # no range check: any integers add
+        assert bl.outcome_sums((-1, np.int64(7), 0, 2**70)) == (-1, 2**70 - 1, 7, 2**70 + 7)
+
+    @pytest.mark.parametrize(
+        "s", [(0.9, 0, 1.5, 0), (True, 0, 0, 0), (0, "1", 0, 0), (0, 0, np.float64(2.0), 0), (F(1), 0, 0, 0)]
+    )
+    def test_outcome_sums_reject_outcomes_that_are_not_integers(self, s):
+        # (0.9, 0, 1.5, 0) used to give the truncated sums (1, 0, 1, 0)
+        with pytest.raises(TypeError, match="strategy outcomes must be integers"):
+            bl.outcome_sums(s)
 
     def test_sum_identity(self):
         # r11 + r22 = r12 + r21 for every strategy
