@@ -5,14 +5,14 @@ where, for its pair (a1, a2), X[b1] = g(a2,b1) - g(a1,b1) and
 Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
 (``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
 way, into a class of b1 and a class of b2.  ``count_strategies`` uses this
-separation to summarise all d**4 strategies from per-pair histograms in
-O(d**3) memory.  Its time is O(d**4): the product of the value histograms,
-(2d-1) x d**2 by d**2 x (2d-1), about 4 d**4 multiply-adds, taken in
-float64 so that BLAS runs it.  The float64 result is exact: every partial
-sum is a non-negative integer no larger than the d**4 strategies, and
-d**4 < 2**53 at every d counted.  ``fill_strategy_arrays`` writes every
-strategy out in O(d**4) memory and is kept as the reference the tests
-compare the count against.
+separation to summarise all d**4 strategies from per-pair histograms, built
+for a block of a1 at a time, in O(d**2) memory.  Its time is O(d**4): the
+products of the value histograms, (2d-1) x d**2 by d**2 x (2d-1) in all,
+about 4 d**4 multiply-adds, taken in float64 so that BLAS runs them.  Their
+float64 sum is exact: every partial sum is a non-negative integer no larger
+than the d**4 strategies, and d**4 < 2**53 at every d counted.
+``fill_strategy_arrays`` writes every strategy out in O(d**4) memory and is
+kept as the reference the tests compare the count against.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ CASE_CODE = np.array(
 # 2*[a1+b1 >= d] + [a2+b1 >= d] and the class of b2 is 2*[a2+b2 >= d] + [a1+b2 >= d]
 _N1_PART, _N2_PART = np.divmod(np.arange(4), 2)
 CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)]
+
+# outcome cells (pairs (a1, a2) times outcomes b) per block of count_strategies
+_BLOCK = 1 << 15
 
 
 def row_dtype(d):
@@ -89,47 +92,57 @@ def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
 def count_strategies(g):
     """Counts over all d**4 strategies of an ``OutcomeMapping``.
 
-    Takes O(d**3) memory and O(d**4) time (the histogram product, in
-    float64 and cast back to int64: exact while d**4 < 2**53).
+    Takes O(d**2) memory beside one block of a1 (``_BLOCK`` outcome cells)
+    and O(d**4) time, exact as the module docstring says.
 
     Returns ``(values, cases, argmax_rows)``: ``values[k]`` counts the
     strategies with Bell numerator k - 2(d-1), ``cases[c]`` those with case
     code c, and ``argmax_rows()`` decodes the maximizing strategies as
-    (a1, a2, b1, b2) rows of ``row_dtype(d)`` in lexicographic order.
+    (a1, a2, b1, b2) rows of ``row_dtype(d)`` in lexicographic order, a block
+    of maximizing pairs at a time, into the array it returns.
     """
     d = g.d
     a = np.arange(d)
-    # axes (a1, a2, b): b is b1 for x and u, b2 for y and v
-    x, u = _b1_part(g, a[:, None, None], a[:, None], a)
-    y, v = _b2_part(g, a[:, None, None], a[:, None], a)
+    step = max(1, _BLOCK // (d * d))
+    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins
+    width = 2 * d - 1
+    joint, by_class, top = np.zeros((width, width)), np.zeros((4, 4), np.int64), np.empty((d, d), np.int64)
 
     def per_pair(keys, width):
-        # histogram of keys in 0..width-1 for each pair (a1, a2), shape (d*d, width)
-        pair = np.arange(d * d).reshape(d, d, 1) * width
-        return np.bincount((pair + keys).ravel(), minlength=d * d * width).reshape(d * d, width)
+        # histogram of keys in 0..width-1 for each pair (a1, a2) of the block, shape (pairs, width)
+        pair = np.arange(keys.shape[0] * d).reshape(-1, d, 1) * width
+        return np.bincount((pair + keys).ravel(), minlength=pair.size * width).reshape(-1, width)
 
-    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins.
-    # The product runs in float64 (BLAS); its entries are integers up to d**4
-    width = 2 * d - 1
-    hx = per_pair(x + (d - 1), width).astype(np.float64)
-    hy = per_pair(y + 2 * (d - 1), width).astype(np.float64)
-    joint = (hx.T @ hy).astype(np.int64)
+    for lo in range(0, d, step):
+        # axes (a1, a2, b) for the a1 of the block: b is b1 for x and u, b2 for y and v
+        x, u = _b1_part(g, a[lo : lo + step, None, None], a[:, None], a)
+        y, v = _b2_part(g, a[lo : lo + step, None, None], a[:, None], a)
+        hx = per_pair(x + (d - 1), width).astype(np.float64)
+        joint += hx.T @ per_pair(y + 2 * (d - 1), width).astype(np.float64)
+        by_class += per_pair(u, 4).T @ per_pair(v, 4)
+        top[lo : lo + step] = x.max(axis=2) + y.max(axis=2)
     # joint[i, j] has numerator i + j - 2(d-1): sum its anti-diagonals
-    values = np.array([np.trace(joint[::-1], k) for k in range(1 - width, width)])
+    i = np.arange(width)
+    values = np.bincount(np.add.outer(i, i).ravel(), joint.ravel()).astype(np.int64)
 
-    by_class = per_pair(u, 4).T @ per_pair(v, 4)
     feasible = CLASS_CASE >= 0
     cases = np.zeros(int(CASE_CODE.max()) + 1, dtype=np.int64)
     np.add.at(cases, CLASS_CASE[feasible], by_class[feasible])
 
-    x_max, y_max = x.max(axis=2), y.max(axis=2)
-    top = x_max + y_max
     a1s, a2s = np.nonzero(top == top.max())
-    x_ties = x[a1s, a2s] == x_max[a1s, a2s, None]
-    y_ties = y[a1s, a2s] == y_max[a1s, a2s, None]
 
     def argmax_rows():
-        k, b1, b2 = np.nonzero(x_ties[:, :, None] & y_ties[:, None, :])
-        return np.stack((a1s[k], a2s[k], b1, b2), axis=1).astype(row_dtype(d))
+        # one row per strategy at the largest numerator
+        rows = np.empty((values[np.flatnonzero(values)[-1]], 4), dtype=row_dtype(d))
+        start = 0
+        for lo in range(0, len(a1s), step):
+            p1, p2 = a1s[lo : lo + step, None], a2s[lo : lo + step, None]
+            x, y = _b1_part(g, p1, p2, a)[0], _b2_part(g, p1, p2, a)[0]
+            # a pair at the maximum attains it where x and y both reach their own maxima
+            x_ties, y_ties = x == x.max(axis=1, keepdims=True), y == y.max(axis=1, keepdims=True)
+            k, b1, b2 = np.nonzero(x_ties[:, :, None] & y_ties[:, None, :])
+            rows[start : start + len(k)] = np.stack((p1[k, 0], p2[k, 0], b1, b2), axis=1)
+            start += len(k)
+        return rows
 
     return values, cases, argmax_rows

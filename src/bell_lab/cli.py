@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: quantum, lhv, scan, noise, optimize, cglmp, check.  ``lhv``
-counts all d**4 local strategies exactly (one algorithm, O(d**3) in memory and
+counts all d**4 local strategies exactly (one algorithm, O(d**2) in memory and
 O(d**4) in time, up to d = 64) or, with --samples and --seed, summarises a
 seeded sample.  Every report is laid out here; the other modules return data.
 Each ``cmd_*`` returns ``(payload, lines, status)``: the JSON body without
@@ -173,11 +173,7 @@ def _lhv_summary(args) -> lhv.EnumerationSummary:
         raise BellLabError("--samples requires --seed for a reproducible draw")
     if args.seed is not None and args.samples is None:
         raise BellLabError("--seed applies only with --samples")
-    mapping = (
-        core.OutcomeMapping.difference_mapping(d)
-        if args.mapping == "difference"
-        else core.OutcomeMapping.sum_mapping(d)
-    )
+    mapping = getattr(core.OutcomeMapping, f"{args.mapping}_mapping")(d)
     if args.samples is None:
         return lhv.enumerate_strategies(d, mapping)
     return lhv.sample_strategies(d, args.samples, args.seed, mapping)

@@ -205,7 +205,8 @@ def _check_probabilities(p: np.ndarray, tol: float) -> None:
         raise NormalizationError("table contains non-finite entries")
     if p.min() < -tol:
         raise NormalizationError(f"table contains negative entries (min {p.min():.3e})")
-    worst = np.abs(p.sum(axis=tuple(range(2, p.ndim))) - 1.0).max()
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails below
+        worst = np.abs(p.sum(axis=tuple(range(2, p.ndim))) - 1.0).max()
     if worst > tol:
         raise NormalizationError(
             f"each setting pair must sum to 1 (worst deviation {worst:.3e}, tolerance {tol:.0e})"
@@ -373,6 +374,8 @@ class JointProbabilityTable:
                 arr = np.asarray(sub, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise TableFormatError(f'setting pair "{key}" is not numeric') from exc
+            except OverflowError as exc:  # an integer literal beyond the float range
+                raise TableFormatError(f'setting pair "{key}" has an entry too large for a float') from exc
             if arr.shape != (d, d):
                 raise TableFormatError(
                     f'setting pair "{key}" has shape {arr.shape}, expected ({d}, {d})'

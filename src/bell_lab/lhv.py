@@ -189,10 +189,11 @@ def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
     Each chunk holds (n, 4) outcome rows with their numerators and case codes.
     Only running totals outlive a chunk: the count of each numerator that
     occurs, the case histogram and the rows that attain the largest
-    numerator so far.
+    numerator so far, each as one uint64 key where rows are int16.
     """
     totals = {}
     case_hist = np.zeros(len(CASE_LABELS), dtype=np.int64)
+    packed = _accel.row_dtype(d) == np.int16
     top_num, tops = None, []
     for strategies, nums, cases in chunks:
         keys, counts = np.unique(nums, return_counts=True)
@@ -203,16 +204,28 @@ def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
         if top_num is None or chunk_max > top_num:
             top_num, tops = chunk_max, []
         if chunk_max == top_num:
-            # the exact cast to the narrow row dtype makes the final sort cheap
-            tops.append(strategies[nums == chunk_max].astype(_accel.row_dtype(d)))
+            rows = strategies[nums == chunk_max]
+            # int16 rows, columns reversed, are the little-endian uint64 keys
+            # a1 << 48 | a2 << 32 | b1 << 16 | b2, which sort as the rows do
+            tops.append(np.ascontiguousarray(rows[:, ::-1], "<i2").view("<u8")[:, 0] if packed else rows)
     # the maximizing rows sorted lexicographically, each kept once (the rows
-    # of np.unique(axis=0))
+    # of np.unique(axis=0)); a key's int16 view holds its row reversed
     top = np.concatenate(tops)
-    top = top[np.lexsort(top.T[::-1])]
-    first = np.ones(len(top), dtype=bool)
-    first[1:] = (top[1:] != top[:-1]).any(axis=1)
-    argmax = top[first]
-    return _summary_from_counts(d, mapping, method, totals, case_hist, len(argmax), lambda: argmax, seed)
+    tops.clear()
+    if packed:
+        top.sort()
+        differs = top[1:] != top[:-1]
+    else:
+        top = top[np.lexsort(top.T[::-1])].astype(np.int64, copy=False)
+        differs = (top[1:] != top[:-1]).any(axis=1)
+    argmax = top[np.concatenate(([True], differs))]
+
+    def argmax_rows():
+        if not packed:
+            return argmax
+        return np.ascontiguousarray(argmax.view("<i2").reshape(-1, 4)[:, ::-1], np.int16)
+
+    return _summary_from_counts(d, mapping, method, totals, case_hist, len(argmax), argmax_rows, seed)
 
 
 def _checked_mapping(d, mapping: OutcomeMapping | None) -> OutcomeMapping:
@@ -231,8 +244,8 @@ def enumerate_strategies(d, mapping: OutcomeMapping | None = None) -> Enumeratio
     mapping, which reproduces ``bell_expression`` on each point-mass table.
     The strategies are counted, not listed: ``_accel.count_strategies``
     separates each value into a part in b1 and a part in b2, which takes
-    O(d**3) memory and O(d**4) time.  The ``argmax`` rows, ordered lexicographically in
-    (a1, a2, b1, b2), are decoded only when read.
+    O(d**2) memory and O(d**4) time.  The ``argmax`` rows, ordered
+    lexicographically in (a1, a2, b1, b2), are decoded only when read.
     """
     d = check_dimension(d)
     if d > EXHAUSTIVE_LIMIT:
@@ -256,9 +269,11 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     them like ``enumerate_strategies``; ``argmax`` holds the distinct
     maximizing rows drawn, as ``_accel.row_dtype(d)`` (int16 up to d = 32768).
     The draw streams in chunks of ``_SAMPLE_CHUNK`` strategies from one
-    generator, the same stream as one whole draw.  The time is O(n_samples);
-    the memory is one chunk, the distinct numerators drawn (three under the
-    named mappings) and the maximizing rows drawn.  The mapping is evaluated
+    generator, the same stream as one whole draw, in int32 while that holds
+    the outcome sums (d <= 2**30).  The time is O(n_samples); the memory is
+    one chunk, the distinct numerators drawn (three under the named
+    mappings) and the maximizing draws, one uint64 key each up to d = 32768,
+    decoded into ``argmax`` rows only when read.  The mapping is evaluated
     elementwise, and the sum and difference mappings are arithmetic that
     builds no d x d table.  A d whose outcome sums would overflow int64, or
     a sample count above the cap ``intp.max // 32`` (2**58 - 1), raises
@@ -278,11 +293,12 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
         raise EnumerationSizeError(f"{n_samples} samples are too many: the sample count is capped at {cap}")
     mapping = _checked_mapping(d, mapping)
     rng = seeded_rng(seed)
+    dtype = np.int32 if d <= 1 << 30 else np.int64
 
     def chunks():
         for start in range(0, n_samples, _SAMPLE_CHUNK):
             k = min(_SAMPLE_CHUNK, n_samples - start)
-            strategies = rng.integers(0, d, size=(k, 4), dtype=np.int64)
+            strategies = rng.integers(0, d, size=(k, 4), dtype=dtype)
             yield (strategies, *_accel.strategy_values(mapping, *strategies.T))
 
     return _summarize(d, mapping, chunks(), "sampled", int(seed))

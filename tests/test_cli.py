@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import bell_lab
 from bell_lab import analysis, cli, core, lhv, quantum
-from bell_lab.errors import DimensionError
+from bell_lab.errors import DimensionError, NormalizationError
 from conftest import as_lists
 
 
@@ -146,6 +146,28 @@ class TestQuantumCommand:
         assert code == 2
         assert out == ""
         assert err == 'error: setting pair "21" has an entry that is not a JSON number\n'
+
+    def test_integer_beyond_the_float_range(self, capsys, tmp_path):
+        # it used to end in a traceback of OverflowError from the float conversion
+        tables = {key: "[[0.25, 0.25], [0.25, 0.25]]" for key in ("11", "12", "22")}
+        tables["21"] = "[[1" + "0" * 400 + ", 0], [0, 0]]"
+        path = tmp_path / "table.json"
+        path.write_text('{"d": 2, "tables": {' + ", ".join(f'"{k}": {v}' for k, v in tables.items()) + "}}")
+        code, out, err = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == 'error: setting pair "21" has an entry too large for a float\n'
+
+    def test_pair_sum_beyond_the_float_range(self, tmp_path):
+        # entries of 1e308 sum to inf: one error line, with no numpy overflow
+        # warning before it (an exception of its own under warnings as errors)
+        tables = {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("11", "12", "22")}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"d": 2, "tables": {"21": [[1e308, 1e308], [0, 0]], **tables}}))
+        with pytest.raises(NormalizationError, match="worst deviation inf"):
+            core.load_table(path)
+        child = run_child("bell_lab", ["quantum", "--input-file", str(path)])
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "error: each setting pair must sum to 1 (worst deviation inf, tolerance 1e-09)\n"
 
     def test_integer_entries_are_numbers(self, capsys, tmp_path):
         path = tmp_path / "table.json"

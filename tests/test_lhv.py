@@ -289,27 +289,57 @@ class TestSampling:
 
     def test_int64_arithmetic_holds_at_the_largest_d(self):
         # outcome sums and numerators reach +-2(d - 1), which int64 holds up
-        # to d = 2**62; every strategy of extreme outcomes, against the exact
-        # closed forms (sum mapping) and Python ints (difference mapping)
-        d = 2**62
-        ends = np.array([0, 1, d - 2, d - 1], dtype=np.int64)
-        rows = np.stack(np.meshgrid(ends, ends, ends, ends, indexing="ij"), axis=-1).reshape(-1, 4)
-        nums, cases = _accel.strategy_values(bl.OutcomeMapping.sum_mapping(d), *rows.T)
-        for row, num, case in zip(rows.tolist(), nums.tolist(), cases.tolist()):
-            assert F(2 * num, d - 1) == bl.strategy_bell_value(row, d)
-            assert lhv.CASE_LABELS[case] == bl.classify_strategy(row, d)
+        # to d = 2**62
+        assert_extreme_outcomes(2**62, np.int64)
 
-        def g(a, b):
-            return (a - b) % d
+    def test_int32_arithmetic_holds_up_to_the_int32_draw_limit(self):
+        # the sampler draws int32 outcomes up to d = 2**30, where the sums
+        # +-2(d - 1) still fit in int32
+        assert_extreme_outcomes(2**30, np.int32)
 
-        nums, _ = _accel.strategy_values(bl.OutcomeMapping.difference_mapping(d), *rows.T)
-        for (a1, a2, b1, b2), num in zip(rows.tolist(), nums.tolist()):
-            assert num == (d - 1) + g(a2, b1) - g(a1, b1) - g(a2, b2) - (-g(a1, b2)) % d
+    @pytest.mark.parametrize(
+        "d, dtype",
+        [(2, np.int32), (3, np.int32), (2000, np.int32), (32768, np.int32), (32769, np.int32),
+         (2**30, np.int32), (2**30 + 1, np.int64)],
+    )
+    def test_draw_is_the_int64_stream(self, monkeypatch, d, dtype):
+        # int32 while it holds the outcome sums; the stream is the int64 one
+        draws = []
+        values = _accel.strategy_values
+
+        def record(g, a1, a2, b1, b2):
+            draws.append(np.stack((a1, a2, b1, b2), axis=1))
+            return values(g, a1, a2, b1, b2)
+
+        monkeypatch.setattr(_accel, "strategy_values", record)
+        n = lhv._SAMPLE_CHUNK + 5
+        bl.sample_strategies(d, n, seed=7)
+        assert {a.dtype for a in draws} == {np.dtype(dtype)}
+        expect = np.random.default_rng(7).integers(0, d, size=(n, 4), dtype=np.int64)
+        assert np.array_equal(np.concatenate(draws), expect)
 
     def test_sampling_stops_at_the_int64_bound(self):
         assert bl.sample_strategies(2**62, 2, seed=1).n_strategies == 2
         with pytest.raises(EnumerationSizeError, match="int64"):
             bl.sample_strategies(2**62 + 1, 2, seed=1)
+
+
+def assert_extreme_outcomes(d, dtype):
+    """Every strategy of extreme outcomes, as ``dtype``, against the exact
+    closed forms (sum mapping) and Python ints (difference mapping)."""
+    ends = np.array([0, 1, d - 2, d - 1], dtype=dtype)
+    rows = np.stack(np.meshgrid(ends, ends, ends, ends, indexing="ij"), axis=-1).reshape(-1, 4)
+    nums, cases = _accel.strategy_values(bl.OutcomeMapping.sum_mapping(d), *rows.T)
+    for row, num, case in zip(rows.tolist(), nums.tolist(), cases.tolist()):
+        assert F(2 * num, d - 1) == bl.strategy_bell_value(row, d)
+        assert lhv.CASE_LABELS[case] == bl.classify_strategy(row, d)
+
+    def g(a, b):
+        return (a - b) % d
+
+    nums, _ = _accel.strategy_values(bl.OutcomeMapping.difference_mapping(d), *rows.T)
+    for (a1, a2, b1, b2), num in zip(rows.tolist(), nums.tolist()):
+        assert num == (d - 1) + g(a2, b1) - g(a1, b1) - g(a2, b2) - (-g(a1, b2)) % d
 
 
 # (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
@@ -402,6 +432,18 @@ class TestSampledOracle:
         assert summary.n_strategies == 2_000_000
         assert peak < 24 * 2**20
 
+    def test_maximizing_draws_are_kept_as_one_key_each(self):
+        # about 334,000 of the 2,000,000 draws maximize; kept as int16 rows
+        # and made distinct with a lexsort, the call peaked at 12.9 MiB
+        tracemalloc.start()
+        try:
+            summary = bl.sample_strategies(2000, 2_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.argmax_count > 300_000
+        assert peak < 9 * 2**20
+
 
 def reference_summary(d, mapping):
     """The d**4 reference: every strategy written out, then summarised."""
@@ -422,7 +464,7 @@ def assert_same_summary(fast, ref):
 
 
 class TestBackends:
-    """The O(d**3) separable count against the d**4 reference fill."""
+    """The O(d**2) separable count against the d**4 reference fill."""
 
     @pytest.mark.parametrize("name", ["sum_mapping", "difference_mapping"])
     def test_separable_count_matches_reference(self, name):
@@ -461,6 +503,39 @@ class TestBackends:
                 "Case3i": d * (d - 1) * (d * d - d + 1) // 6,
                 "Case3ii": low,
             }
+
+    def test_count_takes_o_d2_memory(self):
+        # the (d, d, d) outcome arrays and (d**2, 2d - 1) histograms of one
+        # whole pass peaked at 20 MiB
+        tracemalloc.start()
+        try:
+            summary = bl.enumerate_strategies(lhv.EXHAUSTIVE_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.n_strategies == lhv.EXHAUSTIVE_LIMIT**4
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("name", ["sum_mapping", "difference_mapping"])
+    def test_argmax_decodes_within_twice_its_rows(self, name):
+        # a decode through int64 indices and rows peaked at 9 times the rows
+        d = lhv.EXHAUSTIVE_LIMIT
+        mapping = getattr(bl.OutcomeMapping, name)(d)
+        summary = bl.enumerate_strategies(d, mapping)
+        tracemalloc.start()
+        try:
+            rows = summary.argmax
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rows.nbytes
+        # as many rows as maximizing strategies, each maximizing, in strictly
+        # increasing lexicographic order: every maximizing strategy once
+        assert rows.dtype == np.int16 and len(rows) == summary.argmax_count
+        outcomes = rows.T.astype(np.int64)
+        assert (np.diff(np.ravel_multi_index(outcomes, (d,) * 4)) > 0).all()
+        nums, _ = _accel.strategy_values(mapping, *outcomes)
+        assert (nums == d - 1).all()
 
     def test_argmax_rows_are_decoded_on_first_read(self):
         summary = bl.enumerate_strategies(6)
