@@ -53,19 +53,22 @@ def noise_threshold_bisect(table: JointProbabilityTable) -> float:
 
     The Bell value of the mixture is linear in the visibility v, so the Bell
     expression is evaluated once on the table and once on the uniform table
-    (``noisy_table`` at v = 0), and each step bisects
-    v * full + (1 - v) * uniform - 2 until the visibility bracket is
-    narrower than 1e-10.  A table whose Bell value is below 2 raises ``ValueError``.
+    (``noisy_table`` at v = 0), and ``_bisect_threshold`` bisects the linear
+    margin.  ``noise`` bisects its outcome-sum Bell value the same way,
+    without a table.  A table whose Bell value is below 2 raises ``ValueError``.
     """
-    full = bell_expression(table)
-    uniform = bell_expression(noisy_table(table, 0.0))
+    return _bisect_threshold(bell_expression(table), bell_expression(noisy_table(table, 0.0)), table.d)
+
+
+def _bisect_threshold(full: float, uniform: float, d: int) -> float:
+    """Bisect v * full + (1 - v) * uniform - 2 over v in [0, 1] to a bracket narrower than 1e-10."""
 
     def margin(v: float) -> float:
         return v * full + (1.0 - v) * uniform - 2.0
 
     lo, hi = 0.0, 1.0
     if margin(hi) < 0:
-        raise ValueError(f"no violation at full visibility for d={table.d}")
+        raise ValueError(f"no violation at full visibility for d={d}")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:

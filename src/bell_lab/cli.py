@@ -235,11 +235,11 @@ def cmd_scan(args) -> tuple[dict, list, int]:
 
 def cmd_noise(args) -> tuple[dict, list, int]:
     d = core.check_dimension(args.d)
-    # the table goes first: it refuses a d too large for one array before the
-    # closed form allocates its d-sized arrays
-    table = quantum.sum_amplitude_table(d)
+    # refuses a d too large for one table before the closed form allocates;
+    # uniform noise has Bell value 0: each pair of bell_weights sums to 0
+    full = core._sum_class_bell(quantum.sum_distributions(d))
     closed = analysis.noise_threshold(d)
-    bisected = analysis.noise_threshold_bisect(table)
+    bisected = analysis._bisect_threshold(full, 0.0, d)
     delta = abs(closed - bisected)
     value = quantum.quantum_bell_value(d)
     payload = {

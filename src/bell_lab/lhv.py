@@ -208,6 +208,9 @@ def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
             # int16 rows, columns reversed, are the little-endian uint64 keys
             # a1 << 48 | a2 << 32 | b1 << 16 | b2, which sort as the rows do
             tops.append(np.ascontiguousarray(rows[:, ::-1], "<i2").view("<u8")[:, 0] if packed else rows)
+            del rows
+        # no array of this chunk stays alive while the next one is drawn
+        del strategies, nums, cases, keys, counts
     # the maximizing rows sorted lexicographically, each kept once (the rows
     # of np.unique(axis=0)); a key's int16 view holds its row reversed
     top = np.concatenate(tops)
@@ -300,5 +303,6 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
             k = min(_SAMPLE_CHUNK, n_samples - start)
             strategies = rng.integers(0, d, size=(k, 4), dtype=dtype)
             yield (strategies, *_accel.strategy_values(mapping, *strategies.T))
+            del strategies  # the next chunk is drawn without this one
 
     return _summarize(d, mapping, chunks(), "sampled", int(seed))

@@ -6,14 +6,13 @@ outcome probabilities depend only on the outcome sum m + n and the phase sum,
 which makes the closed form below possible and concentrates the Bell
 expression into a single spin-projection distribution.
 
-Two builders make the same table.  ``born_table`` is the explicit Born rule
-(O(d^3) matrix products); ``quantum``, ``cglmp`` and ``check`` use it because
-they print the table's last bits.  ``sum_amplitude_table`` takes one length-d
-FFT per setting pair (O(d^2)); ``noise`` uses it, as it prints 10 significant
-digits, where the two builders agree.  ``sum_distributions`` returns the
-four outcome-sum distributions from the same FFTs without the table
-(O(d log d)); ``scan`` and ``optimize`` evaluate their Bell and CGLMP values
-from them in O(d).
+``born_table`` builds the table by the explicit Born rule (O(d^3) matrix
+products); ``quantum``, ``cglmp`` and ``check`` use it because they print the
+table's last bits.  ``sum_distributions`` returns the four outcome-sum
+distributions from one length-d FFT per setting pair (O(d log d)) and builds
+no table; ``scan``, ``optimize`` and ``noise`` evaluate their Bell and CGLMP
+values from them in O(d), and print 10 significant digits, where the two
+paths agree.
 """
 
 from __future__ import annotations
@@ -96,9 +95,9 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     This is the explicit Born rule, kept wherever a table's last bits are
     printed: ``quantum`` prints every entry in shortest round-trip ``repr``,
     and ``cglmp`` and ``check`` print roundoff-level deviations.
-    ``sum_amplitude_table`` builds the same probabilities in O(d^2) but
-    rounds differently in the last bits, so those outputs would change.
-    ``closed_form_table`` (a bare array, never gated), ``sum_amplitude_table``
+    ``sum_distributions`` describes the same probabilities in O(d) numbers
+    but rounds differently in the last bits, so those outputs would change.
+    ``closed_form_table`` (a bare array, never gated), ``sum_distributions``
     and the spin-projection distribution are checked against this table.
     A d whose table exceeds the largest array is refused before the bases,
     which are half its size, are built.
@@ -116,16 +115,20 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     return JointProbabilityTable.from_array(p)
 
 
-def _sum_class_probabilities(d: int, settings: MeasurementSettings | None) -> np.ndarray:
-    """(2, 2, d) probability of one outcome pair (m, n) in each class k = (m + n) mod d.
+def sum_distributions(d, settings: MeasurementSettings | None = None) -> np.ndarray:
+    """The outcome-sum distributions of the quantum table, as a read-only (2, 2, d) array.
 
-    With phi = alpha_i + beta_j, the amplitude of outcomes (m, n) is
-    sum_l exp(-2 pi i l (m + n + phi) / d) / d^1.5, which depends on k
-    only: it is entry k of the FFT of exp(-2 pi i l phi / d).  One length-d
-    FFT per setting pair, the four taken in one call.  A d whose (2, 2, d, d)
-    table exceeds the largest array is refused before anything is allocated,
-    and a phase too large for the arithmetic gives non-finite entries without
-    a warning.
+    Entry [i-1, j-1, k] is the probability that (m + n) mod d = k under
+    settings (i, j).  With phi = alpha_i + beta_j, the amplitude of outcomes
+    (m, n) is sum_l exp(-2 pi i l (m + n + phi) / d) / d^1.5, which depends
+    on k only: it is entry k of the FFT of exp(-2 pi i l phi / d), and the
+    d outcome pairs of class k give d times its squared modulus.  One
+    length-d FFT per setting pair, the four taken in one call.  A d whose
+    (2, 2, d, d) table exceeds the largest array is refused before anything
+    is allocated.  The distributions pass the table gate (finite,
+    non-negative, each pair summing to 1 within ``INTERNAL_TOL``), so a phase
+    too large for the arithmetic is refused there, without a warning.
+    ``scan``, ``optimize`` and ``noise`` evaluate these.
     """
     d = check_dimension(d)
     check_table_size(d)
@@ -135,40 +138,7 @@ def _sum_class_probabilities(d: int, settings: MeasurementSettings | None) -> np
     l = np.arange(d)
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.fft.fft(np.exp(-2j * np.pi * l * phi / d)) / d**1.5
-    return np.abs(amp) ** 2
-
-
-def sum_amplitude_table(d, settings: MeasurementSettings | None = None) -> JointProbabilityTable:
-    """The ``born_table`` probabilities from one length-d FFT per setting pair.
-
-    Entry (m, n) of a pair is its outcome-sum class probability at
-    (m + n) mod d, read from a Hankel view of the doubled class vector.
-    O(d^2) for the table instead of O(d^3).
-
-    It agrees with ``born_table`` to roundoff but not bit for bit, so it
-    serves ``noise``, which prints 10 significant digits.  A non-finite
-    table, from a phase too large for the arithmetic, is refused by the
-    ``JointProbabilityTable`` constructor.
-    """
-    q = _sum_class_probabilities(d, settings)
-    # window m of the doubled vector is q[(m + n) mod d] over n
-    doubled = np.concatenate((q, q[..., :-1]), axis=-1)
-    return JointProbabilityTable.from_array(
-        np.lib.stride_tricks.sliding_window_view(doubled, q.shape[-1], axis=-1)
-    )
-
-
-def sum_distributions(d, settings: MeasurementSettings | None = None) -> np.ndarray:
-    """The outcome-sum distributions of the quantum table, as a read-only (2, 2, d) array.
-
-    Entry [i-1, j-1, k] is the probability that (m + n) mod d = k under
-    settings (i, j): d times the class probability of ``sum_amplitude_table``,
-    which it describes completely in O(d) numbers.  It refuses the d and the phases
-    that table refuses, with the same errors: the distributions pass the
-    table gate (finite, non-negative, each pair summing to 1 within
-    ``INTERNAL_TOL``).  ``scan`` and ``optimize`` evaluate these.
-    """
-    dists = d * _sum_class_probabilities(d, settings)
+    dists = d * (np.abs(amp) ** 2)
     _check_probabilities(dists, INTERNAL_TOL)
     dists.setflags(write=False)
     return dists

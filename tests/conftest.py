@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from bell_lab.core import SETTING_PAIRS, JointProbabilityTable
 from bell_lab.core import random_rational_table, random_table  # noqa: F401  (shared with the tests)
+from bell_lab.quantum import CANONICAL_PHASES
 
 
 @pytest.fixture
@@ -30,3 +32,28 @@ def as_lists(obj):
     if isinstance(obj, (list, tuple)):
         return [as_lists(value) for value in obj]
     return obj
+
+
+def sum_amplitude_table(d, settings=None) -> JointProbabilityTable:
+    """The quantum table from one length-d FFT per setting pair: the oracle of the outcome-sum path.
+
+    With phi = alpha_i + beta_j, the amplitude of outcomes (m, n) is entry
+    (m + n) mod d of the FFT of exp(-2 pi i l phi / d) over d^1.5, and entry
+    (m, n) of a pair is its squared modulus, read from a Hankel view of the
+    doubled class vector.  O(d^2), and equal to ``born_table`` to roundoff
+    but not bit for bit.  Its class probabilities are those of
+    ``sum_distributions`` before the factor d, bit for bit.  A non-finite
+    table, from a phase too large for the arithmetic, is refused by the
+    ``JointProbabilityTable`` constructor.
+    """
+    settings = settings or CANONICAL_PHASES
+    pairs = (settings.phases(i, j) for i, j in SETTING_PAIRS)
+    phi = np.reshape([alpha + beta for alpha, beta in pairs], (2, 2, 1))
+    l = np.arange(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.abs(np.fft.fft(np.exp(-2j * np.pi * l * phi / d)) / d**1.5) ** 2
+    # window m of the doubled vector is q[(m + n) mod d] over n
+    doubled = np.concatenate((q, q[..., :-1]), axis=-1)
+    return JointProbabilityTable.from_array(
+        np.lib.stride_tricks.sliding_window_view(doubled, d, axis=-1)
+    )

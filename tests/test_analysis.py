@@ -11,7 +11,7 @@ import pytest
 
 import bell_lab as bl
 from bell_lab import analysis, cli, core, quantum
-from conftest import random_table
+from conftest import random_table, sum_amplitude_table
 
 FROZEN_THRESHOLDS = {
     2: 0.7071067812,
@@ -105,7 +105,7 @@ class TestNoise:
 
     def test_linear_bisection_matches_the_table_bisection(self):
         for d in range(2, 65):
-            for table in (bl.born_table(d), quantum.sum_amplitude_table(d)):
+            for table in (bl.born_table(d), sum_amplitude_table(d)):
                 assert bl.noise_threshold_bisect(table) == self.table_bisection(table)
 
     def test_linear_bisection_matches_on_random_settings(self):
@@ -171,17 +171,12 @@ class TestWorkCounts:
 
     def test_scan_and_optimizer_build_no_table(self, table_builds, monkeypatch):
         # both evaluate the (2, 2, d) outcome-sum distributions in O(d)
-        assert not hasattr(analysis, "sum_amplitude_table")
-        calls = []
-        monkeypatch.setattr(quantum, "sum_amplitude_table", lambda *args: calls.append(args))
-
         def no_table(self, _tol):
             pytest.fail("a JointProbabilityTable was built")
 
         monkeypatch.setattr(core.JointProbabilityTable, "__post_init__", no_table)
         bl.scan_dimensions(12)
         bl.optimize_phases(64, bl.random_settings(np.random.default_rng(1)))
-        assert calls == []
         assert len(table_builds) > 11
 
     def test_analyses_build_no_born_table(self, capsys, monkeypatch):
@@ -241,7 +236,7 @@ class TestOptimizer:
             def value_at(phases):
                 key = tuple(phases)
                 if key not in values:
-                    values[key] = bl.bell_expression(bl.sum_amplitude_table(3, bl.MeasurementSettings(*key)))
+                    values[key] = bl.bell_expression(sum_amplitude_table(3, bl.MeasurementSettings(*key)))
                 return values[key]
 
             x = list(start.as_tuple())
@@ -303,7 +298,7 @@ class TestScan:
     def test_cglmp_column_prints_as_the_table_path(self):
         # the O(d) fold over the sum distributions, at the 10 digits scan prints
         for row in bl.scan_dimensions(400).rows:
-            table = bl.sum_amplitude_table(row.d)
+            table = sum_amplitude_table(row.d)
             expect = bl.cglmp_expression(table.conjugate_second_party())
             assert cli.fmt10(row.cglmp_value) == cli.fmt10(expect)
 

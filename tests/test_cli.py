@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import bell_lab
 from bell_lab import analysis, cli, core, lhv, quantum
 from bell_lab.errors import DimensionError, NormalizationError
-from conftest import as_lists
+from conftest import as_lists, sum_amplitude_table
 
 
 def run_cli(capsys, *argv):
@@ -430,8 +430,6 @@ class TestScanCommand:
     def test_dmax_is_refused_where_its_table_is(self, capsys, monkeypatch, d):
         quantum.check_table_size(self.TABLE_LIMIT - 1)
         with pytest.raises(DimensionError):
-            quantum.sum_amplitude_table(d)
-        with pytest.raises(DimensionError):
             quantum.sum_distributions(d)
 
         def unreachable(*args, **kwargs):
@@ -463,24 +461,49 @@ class TestNoiseCommand:
         assert obj["p_threshold"] == 0.7071067812
         assert obj["delta"] < 1e-9
 
-    def test_builds_one_table(self, capsys, monkeypatch):
-        builds = {"sum_amplitude_table": [], "born_table": []}
+    def test_builds_no_table(self, capsys, monkeypatch):
+        # the Bell value comes from the outcome-sum distributions in O(d)
+        builds, born = [], []
+        real = quantum.sum_distributions
 
-        def counting(name):
-            real = getattr(quantum, name)
+        def counting(d, settings=None):
+            builds.append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
+            return real(d, settings)
 
-            def count(d, settings=None):
-                builds[name].append((d, (settings or quantum.CANONICAL_PHASES).as_tuple()))
-                return real(d, settings)
+        def no_table(self, _tol):
+            pytest.fail("a JointProbabilityTable was built")
 
-            monkeypatch.setattr(quantum, name, count)
-
-        counting("sum_amplitude_table")
-        counting("born_table")
+        monkeypatch.setattr(quantum, "sum_distributions", counting)
+        monkeypatch.setattr(quantum, "born_table", lambda *args: born.append(args))
+        monkeypatch.setattr(core.JointProbabilityTable, "__post_init__", no_table)
         code, _, _ = run_cli(capsys, "noise", "--d", "12")
         assert code == 0
-        assert builds["sum_amplitude_table"] == [(12, quantum.CANONICAL_PHASES.as_tuple())]
-        assert builds["born_table"] == []
+        assert builds == [(12, quantum.CANONICAL_PHASES.as_tuple())]
+        assert born == []
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prints_as_the_table_bisection(self, capsys, monkeypatch, fmt):
+        # the oracle: the FFT table's Bell values through noise_threshold_bisect
+        for d in [*range(2, 301), 384, 500, 1000]:
+            argv = ("noise", "--d", str(d), "--format", fmt)
+            _, out, _ = run_cli(capsys, *argv)
+            bisected = analysis.noise_threshold_bisect(sum_amplitude_table(d))
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_bisect_threshold", lambda *_: bisected)
+                _, expect, _ = run_cli(capsys, *argv)
+            assert out == expect, d
+
+    def test_large_d_builds_nothing_of_size_d_squared(self, capsys):
+        # a (2, 2, d, d) table at d = 4000 would take 512 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "noise", "--d", "4000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert "p_threshold_bisect" in out
+        assert peak < 2 * 2**20
 
 
 class TestOptimizeCommand:
@@ -737,8 +760,8 @@ class TestGoldenStdout:
         # like the other vectors in BENCHMARK_COPIES
         "lhv --d 64": "4274d1aba2d96ec25d1ae181d052c7bfcb806cf2029a2bdd4f50e5559513e95e",
         "lhv --d 2000 --samples 2000000 --seed 1": "977ba097947a5db5579136302553bf277b0b055134927686b84a67362659bde1",
-        # the quantum-sweep benchmark vectors, whose tables come from
-        # sum_amplitude_table rather than the Born matrix products
+        # the quantum-sweep benchmark vectors, whose values come from the
+        # outcome-sum distributions rather than the Born matrix products
         "scan --dmax 160": "1b64df220a56a03bfa0c957e1c6ede68c439075ae736764dc5064203135556da",
         "noise --d 192": "87538aaed1c5290d0a75b314c6a378805325e03c888217fbfae7a5965501eeed",
         "optimize --d 64 --seed 1": "3b4a32db92edc8b1764cbfd325091fb00be7b6cf41edefa813bf7a317115dfad",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import bell_lab as bl
 from bell_lab import core
 from bell_lab.errors import DimensionError, NormalizationError, SingularAngleError
+from conftest import sum_amplitude_table
 
 # 40-digit brute force, rounded; d=2,3,4 also match the radical forms
 FROZEN_Q = {2: 0.7071067812, 3: 0.7182335128, 4: 0.7240608046}
@@ -132,7 +133,7 @@ class TestSumAmplitudeTable:
 
     def test_matches_born_canonical(self):
         for d in range(2, 65):
-            assert np.abs(bl.sum_amplitude_table(d).p - bl.born_table(d).p).max() < 1e-12
+            assert np.abs(sum_amplitude_table(d).p - bl.born_table(d).p).max() < 1e-12
 
     @given(
         st.integers(2, 40),
@@ -141,7 +142,7 @@ class TestSumAmplitudeTable:
     @settings(max_examples=60, deadline=None)
     def test_matches_born_drawn_settings(self, d, phases):
         s = bl.MeasurementSettings(*phases)
-        assert np.abs(bl.sum_amplitude_table(d, s).p - bl.born_table(d, s).p).max() < 1e-12
+        assert np.abs(sum_amplitude_table(d, s).p - bl.born_table(d, s).p).max() < 1e-12
 
     def test_integer_phase_sum_is_a_delta(self):
         # pair (1, 1) has phase sum 1: the closed form has no finite value there
@@ -149,7 +150,7 @@ class TestSumAmplitudeTable:
         with pytest.raises(SingularAngleError):
             bl.closed_form_table(3, s)
         for d in (3, 8, 31):
-            p = bl.sum_amplitude_table(d, s).p
+            p = sum_amplitude_table(d, s).p
             assert np.isfinite(p).all()
             assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() < core.INTERNAL_TOL
             # all weight on the outcome sums k = -1 mod d, 1/d per entry
@@ -160,7 +161,7 @@ class TestSumAmplitudeTable:
     @pytest.mark.parametrize("d", [880, 992, 2000])
     def test_pair_sums_stay_in_the_gate(self, d):
         # where the closed form's pair sums leave INTERNAL_TOL
-        p = bl.sum_amplitude_table(d).p
+        p = sum_amplitude_table(d).p
         assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() < core.INTERNAL_TOL
         assert np.abs(bl.sum_distributions(d).sum(axis=-1) - 1.0).max() < core.INTERNAL_TOL
 
@@ -168,7 +169,7 @@ class TestSumAmplitudeTable:
         # pair (i, j) reads spin label k at outcome sum orient * k, with k
         # reversed (k -> d - 1 - k) on the pair whose sign is negative
         for d in range(2, 257):
-            p = bl.sum_amplitude_table(d).p
+            p = sum_amplitude_table(d).p
             q = bl.spin_projection_distribution(d)
             k = np.arange(d)
             for (i, j), orient, sign in zip(core.SETTING_PAIRS, core.PAIR_ORIENT, core.PAIR_SIGNS):
@@ -181,7 +182,7 @@ class TestSumAmplitudeTable:
         # filterwarnings = error: a numpy RuntimeWarning would surface instead
         s = bl.MeasurementSettings(phase, 0.0, 0.0, 0.0)
         with pytest.raises(NormalizationError, match="non-finite"):
-            bl.sum_amplitude_table(3, s)
+            sum_amplitude_table(3, s)
         # the distributions pass the same gate
         with pytest.raises(NormalizationError, match="non-finite"):
             bl.sum_distributions(3, s)
@@ -189,7 +190,7 @@ class TestSumAmplitudeTable:
 
 def table_path_values(d, s=None):
     """Bell and CGLMP values of the sum-amplitude table, through the d^2 table evaluators."""
-    table = bl.sum_amplitude_table(d, s)
+    table = sum_amplitude_table(d, s)
     return bl.bell_expression(table), bl.cglmp_expression(table.conjugate_second_party())
 
 
@@ -220,7 +221,7 @@ class TestSumDistributions:
         # one FFT builder: the table's row m = 0 holds each class once
         s = bl.random_settings(np.random.default_rng(d))
         dists = bl.sum_distributions(d, s)
-        assert np.array_equal(dists, d * bl.sum_amplitude_table(d, s).p[:, :, 0, :])
+        assert np.array_equal(dists, d * sum_amplitude_table(d, s).p[:, :, 0, :])
         assert not dists.flags.writeable
 
 
