@@ -4,13 +4,16 @@ A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2 = (d-1) + X[b1] + Y[b2]
 where, for its pair (a1, a2), X[b1] = g(a2,b1) - g(a1,b1) and
 Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
 (``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
-way, into a class of b1 and a class of b2.  ``count_strategies`` uses this
-separation to summarise all d**4 strategies from per-pair histograms, built
-for a block of a1 at a time, in O(d**2) memory.  Its time is O(d**4): the
-products of the value histograms, (2d-1) x d**2 by d**2 x (2d-1) in all,
-about 4 d**4 multiply-adds, taken in float64 so that BLAS runs them.  Their
-float64 sum is exact: every partial sum is a non-negative integer no larger
-than the d**4 strategies, and d**4 < 2**53 at every d counted.
+way, into a class of b1 and a class of b2.  ``strategy_values`` is the one
+per-strategy formula: ``lhv.strategy_bell_value`` and ``classify_strategy``
+run it on Python ints, and ``lhv.sample_strategies`` on each drawn chunk.
+``count_strategies`` uses the separation to summarise all d**4 strategies
+from per-pair histograms, built for a block of a1 at a time, in O(d**2)
+memory.  Its time is O(d**4): the products of the value histograms,
+(2d-1) x d**2 by d**2 x (2d-1) in all, about 4 d**4 multiply-adds, taken in
+float64 so that BLAS runs them.  Their float64 sum is exact: every partial
+sum is a non-negative integer no larger than the d**4 strategies, and
+d**4 < 2**53 at every d counted.
 ``fill_strategy_arrays`` writes every strategy out in O(d**4) memory and is
 kept as the reference the tests compare the count against.
 """
@@ -65,8 +68,8 @@ def _b2_part(g, a1, a2, b2):
 def strategy_values(g, a1, a2, b1, b2):
     """Bell numerators (d-1)*I/2 and case codes of strategies.
 
-    The four outcome arguments are integer arrays that broadcast together;
-    ``g`` is the ``OutcomeMapping``.
+    The four outcome arguments are integer arrays that broadcast together,
+    or Python ints; ``g`` is the ``OutcomeMapping``.
     """
     x, u = _b1_part(g, a1, a2, b1)
     y, v = _b2_part(g, a1, a2, b2)

@@ -108,8 +108,12 @@ def optimize_phases(
     O(d log d)); no d x d table is built.  Once the step has halved to 0,
     every candidate is the current point, so each remaining halving is one
     sweep of 8 evaluations that changes nothing: they are counted, not run.
+    ``halvings`` must be an integer: a bool, a float or a string raises
+    ``TypeError``.
     """
     d = check_dimension(d)
+    if type(halvings) is not int and not isinstance(halvings, np.integer):
+        raise TypeError(f"halvings must be an integer, got {halvings!r}")
     start = start or CANONICAL_PHASES
 
     # coordinate moves often return to phases already evaluated (a -width

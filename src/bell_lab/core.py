@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -69,8 +70,8 @@ def check_array_size(d: int, nbytes: int) -> None:
 
 
 def seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for a non-negative integer seed."""
-    if not isinstance(seed, Integral) or seed < 0:
+    """``np.random.default_rng(seed)`` for a non-negative integer seed; a bool is not one."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise SeedError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
@@ -104,7 +105,8 @@ class OutcomeMapping:
     checks.  The named mappings, ``sum_mapping`` (a + b) mod d and
     ``difference_mapping`` (a - b) mod d, are Latin squares by construction:
     they are evaluated by arithmetic and build their table only when
-    ``table`` is first read.
+    ``table`` is first read.  That arithmetic is Python's ``+`` and ``-``, so
+    on Python ints of any size it is exact, and on arrays it is numpy's.
     """
 
     def __init__(self, d, table, name: str = "custom"):
@@ -128,11 +130,11 @@ class OutcomeMapping:
 
     @classmethod
     def sum_mapping(cls, d) -> "OutcomeMapping":
-        return cls._modular(d, np.add, "sum")
+        return cls._modular(d, operator.add, "sum")
 
     @classmethod
     def difference_mapping(cls, d) -> "OutcomeMapping":
-        return cls._modular(d, np.subtract, "difference")
+        return cls._modular(d, operator.sub, "difference")
 
     def __call__(self, a, b):
         """g(a, b), elementwise over integers or integer arrays that broadcast together."""

@@ -36,8 +36,8 @@ _SAMPLE_CHUNK = 1 << 16
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
 
 
-def _integer_outcomes(s) -> tuple[int, int, int, int]:
-    """The outcomes (a1, a2, b1, b2) as ints.
+def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
+    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1.
 
     Only Python ints and numpy integers are outcomes: a bool, a float or a
     string raises ``TypeError`` instead of being converted.
@@ -48,58 +48,35 @@ def _integer_outcomes(s) -> tuple[int, int, int, int]:
     for x in s:
         if type(x) is not int and not isinstance(x, np.integer):
             raise TypeError(f"strategy outcomes must be integers, got {x!r}")
-    return tuple(map(int, s))
-
-
-def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
-    """The outcomes (a1, a2, b1, b2) as ints, each checked to lie in 0..d-1."""
-    s = _integer_outcomes(s)
+    s = tuple(map(int, s))
     for x in s:
         if not 0 <= x < d:
             raise DimensionError(f"strategy outcomes must lie in 0..{d - 1}, got {s}")
     return s
 
 
-def outcome_sums(s) -> tuple[int, int, int, int]:
-    """The four setting-pair outcome sums (r11, r12, r21, r22).
-
-    They satisfy r11 + r22 = r12 + r21 because each outcome appears in two sums.
-    The outcomes must be integers, as in ``strategy_bell_value``, but may lie
-    outside 0..d-1.
-    """
-    a1, a2, b1, b2 = _integer_outcomes(s)
-    return a1 + b1, a1 + b2, a2 + b1, a2 + b2
-
-
 def strategy_bell_value(s, d) -> Fraction:
     """Exact Bell value of a deterministic strategy.
 
-    Closed form: 2 * [pos(r12) + (r21 mod d) - (r11 mod d) - (r22 mod d) - 1] / (d - 1)
-    where pos(x) is the least positive residue of x modulo d (in 1..d).  The
-    reversed pair (1,2) enters through its negated outcome sum, which is why
-    its residue is taken in 1..d: at multiples of d the usual least
-    non-negative residue would not match the kernel evaluation.
+    Evaluated by ``_accel.strategy_values``, the separation into a part in b1
+    and a part in b2 that enumeration and sampling run, on the outcomes as
+    Python ints under the sum mapping, so it is exact at any d.
     """
-    d = check_dimension(d)
-    a1, a2, b1, b2 = _coerce_strategy(s, d)
-    r11, r12, r21, r22 = outcome_sums((a1, a2, b1, b2))
-    pos12 = d - ((-r12) % d)
-    num = pos12 + (r21 % d) - (r11 % d) - (r22 % d) - 1
-    return Fraction(2 * num, d - 1)
+    g = OutcomeMapping.sum_mapping(d)
+    num, _ = _accel.strategy_values(g, *_coerce_strategy(s, g.d))
+    return Fraction(2 * num, g.d - 1)
 
 
 def classify_strategy(s, d) -> str:
     """Case label from the sum structure of the strategy.
 
-    Counts how many of (r11, r22) and of (r12, r21) reach d and maps the pair
-    of counts to one of seven labels.  Each label admits a fixed set of Bell
-    values (see ``case_value_set``).
+    The case code of ``_accel.strategy_values`` (see ``_accel.CASE_CODE``),
+    which counts how many of a1+b1, a2+b2 and how many of a1+b2, a2+b1 reach
+    d.  Each label admits a fixed set of Bell values (see ``case_value_set``).
     """
-    d = check_dimension(d)
-    r11, r12, r21, r22 = outcome_sums(_coerce_strategy(s, d))
-    n1 = (r11 >= d) + (r22 >= d)
-    n2 = (r12 >= d) + (r21 >= d)
-    return CASE_LABELS[_accel.CASE_CODE[n1, n2]]
+    g = OutcomeMapping.sum_mapping(d)
+    _, case = _accel.strategy_values(g, *_coerce_strategy(s, g.d))
+    return CASE_LABELS[case]
 
 
 def lhv_value_set(d) -> frozenset[Fraction]:
@@ -279,10 +256,13 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     decoded into ``argmax`` rows only when read.  The mapping is evaluated
     elementwise, and the sum and difference mappings are arithmetic that
     builds no d x d table.  A d whose outcome sums would overflow int64, or
-    a sample count above the cap ``intp.max // 32`` (2**58 - 1), raises
+    a sample count that is not an integer (a bool, a float or a string) or
+    lies above the cap ``intp.max // 32`` (2**58 - 1), raises
     ``EnumerationSizeError`` before anything is drawn.
     """
     d = check_dimension(d)
+    if type(n_samples) is not int and not isinstance(n_samples, np.integer):
+        raise EnumerationSizeError(f"the sample count must be an integer, got {n_samples!r}")
     n_samples = int(n_samples)
     if n_samples < 1:
         raise EnumerationSizeError(f"need at least one sample, got {n_samples}")

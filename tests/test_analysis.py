@@ -263,6 +263,12 @@ class TestOptimizer:
         assert list(result.settings.as_tuple()) == x
         assert (result.value, result.evaluations, result.final_step) == (best, evaluations, width)
 
+    @pytest.mark.parametrize("halvings", [2.5, True, "2"])
+    def test_halvings_must_be_an_integer(self, halvings):
+        # 2.5 used to run 2 halvings
+        with pytest.raises(TypeError, match="halvings must be an integer"):
+            bl.optimize_phases(3, halvings=halvings)
+
     def test_final_step_shrinks(self):
         result = bl.optimize_phases(2, step=0.05, halvings=10)
         assert result.final_step <= 0.05 / 2**10 + 1e-15

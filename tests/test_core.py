@@ -21,6 +21,7 @@ from bell_lab.errors import (
     DimensionError,
     MappingError,
     NormalizationError,
+    SeedError,
     TableFormatError,
 )
 
@@ -221,6 +222,12 @@ class TestScalars:
         with pytest.raises((DimensionError, TypeError)):
             bl.check_dimension(bad)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_seeded_rng_refuses_bools(self, seed):
+        # as check_dimension does; True used to seed with 1
+        with pytest.raises(SeedError, match="seed must be a non-negative integer"):
+            core.seeded_rng(seed)
+
     def test_spin_is_half_of_d_minus_one(self):
         assert bl.spin(2) == Fraction(1, 2)
         assert bl.spin(3) == 1
@@ -319,6 +326,11 @@ class TestOutcomeMapping:
         g = bl.OutcomeMapping.difference_mapping(4)
         assert g(1, 2) == 3
         assert g(2, 1) == 1
+
+    @pytest.mark.parametrize("name, expect", [("sum_mapping", 4), ("difference_mapping", 10**30 - 6)])
+    def test_named_mappings_take_python_ints_of_any_size(self, name, expect):
+        # np.add and np.subtract raise OverflowError on ints beyond int64
+        assert getattr(bl.OutcomeMapping, name)(10**30)(10**30 - 1, 5) == expect
 
     def test_rejects_non_latin_square(self):
         with pytest.raises(MappingError):

@@ -4,6 +4,8 @@ Histograms, case counts, and example values below were frozen from an
 independent exact-arithmetic enumerator before this module was written.
 """
 
+import itertools
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab as bl
-from bell_lab import _accel, lhv
+from bell_lab import _accel, core, lhv
 from bell_lab.errors import BellLabError, EnumerationSizeError, SeedError
 
 F = Fraction
@@ -23,6 +25,50 @@ F = Fraction
 def all_strategies(d):
     for s in np.ndindex(d, d, d, d):
         yield tuple(int(x) for x in s)
+
+
+# (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
+# counts which of a1+b2, a2+b1 do
+ORACLE_CASES = {
+    (0, 0): "Case1i",
+    (0, 1): "Case1ii",
+    (1, 0): "Case2i",
+    (1, 1): "Case2ii",
+    (1, 2): "Case2iii",
+    (2, 2): "Case3i",
+    (2, 1): "Case3ii",
+}
+
+
+def outcome_sums(s):
+    """The setting-pair outcome sums (r11, r12, r21, r22), as Python ints.
+
+    They satisfy r11 + r22 = r12 + r21 because each outcome appears in two sums.
+    """
+    a1, a2, b1, b2 = map(int, s)
+    return a1 + b1, a1 + b2, a2 + b1, a2 + b2
+
+
+def closed_form(s, d):
+    """(Bell value, case label) of a strategy from its outcome sums alone.
+
+    The value is 2 * [pos(r12) + (r21 mod d) - (r11 mod d) - (r22 mod d) - 1] / (d - 1),
+    where pos(x) is the least positive residue of x modulo d (in 1..d).  The
+    reversed pair (1,2) enters through its negated outcome sum, which is why
+    its residue is taken in 1..d: at multiples of d the usual least
+    non-negative residue would not match the kernel evaluation.  The label
+    is ``ORACLE_CASES`` of how many of (r11, r22) and of (r12, r21) reach d.
+    """
+    r11, r12, r21, r22 = outcome_sums(s)
+    num = d - (-r12) % d + r21 % d - r11 % d - r22 % d - 1
+    n1 = (r11 >= d) + (r22 >= d)
+    n2 = (r12 >= d) + (r21 >= d)
+    return F(2 * num, d - 1), ORACLE_CASES[n1, n2]
+
+
+def evaluated(s, d):
+    """(Bell value, case label) of a strategy from the package."""
+    return bl.strategy_bell_value(s, d), bl.classify_strategy(s, d)
 
 
 class TestStrategyValue:
@@ -43,23 +89,42 @@ class TestStrategyValue:
             assert bl.strategy_bell_value(s, 3) == value
 
     def test_outcome_sums(self):
-        assert bl.outcome_sums((1, 2, 3, 4)) == (4, 5, 5, 6)
-        # no range check: any integers add
-        assert bl.outcome_sums((-1, np.int64(7), 0, 2**70)) == (-1, 2**70 - 1, 7, 2**70 + 7)
-
-    @pytest.mark.parametrize(
-        "s", [(0.9, 0, 1.5, 0), (True, 0, 0, 0), (0, "1", 0, 0), (0, 0, np.float64(2.0), 0), (F(1), 0, 0, 0)]
-    )
-    def test_outcome_sums_reject_outcomes_that_are_not_integers(self, s):
-        # (0.9, 0, 1.5, 0) used to give the truncated sums (1, 0, 1, 0)
-        with pytest.raises(TypeError, match="strategy outcomes must be integers"):
-            bl.outcome_sums(s)
+        assert outcome_sums((1, 2, 3, 4)) == (4, 5, 5, 6)
+        # the oracle's sums do not wrap: at d = 2**70 + 1 they pass 2**70,
+        # and the package agrees with the oracle there
+        s = (np.int64(7), 2**70 - 1, 0, 2**70)
+        assert outcome_sums(s) == (7, 2**70 + 7, 2**70 - 1, 2**71 - 1)
+        assert evaluated(s, 2**70 + 1) == closed_form(s, 2**70 + 1)
 
     def test_sum_identity(self):
-        # r11 + r22 = r12 + r21 for every strategy
-        for s in all_strategies(3):
-            r11, r12, r21, r22 = bl.outcome_sums(s)
-            assert r11 + r22 == r12 + r21
+        # r11 + r22 = r12 + r21 for every strategy, and each oracle sum is,
+        # mod d, where the point-mass table puts its setting pair's
+        # outcome-sum distribution
+        d = 3
+        g = bl.OutcomeMapping.sum_mapping(d)
+        for s in all_strategies(d):
+            sums = outcome_sums(s)
+            assert sums[0] + sums[3] == sums[1] + sums[2]
+            t = bl.strategy_to_table(s, d)
+            for (i, j), r in zip(core.SETTING_PAIRS, sums):
+                assert bl.mapped_spin_distribution(t, i, j, g).tolist() == np.eye(d)[r % d].tolist()
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_every_strategy_matches_the_closed_form(self, d):
+        for s in all_strategies(d):
+            assert evaluated(s, d) == closed_form(s, d)
+
+    @pytest.mark.parametrize("d", [2**63 + 5, 2**64 + 3, 10**30], ids=["2**63+5", "2**64+3", "10**30"])
+    def test_python_int_outcomes_match_the_closed_form_beyond_int64(self, d):
+        # the named mappings add Python ints here: np.add would raise
+        # OverflowError on outcomes beyond int64
+        ends = (0, 1, d // 2, d - 2, d - 1)
+        draw = random.Random(d)
+        strategies = itertools.chain(
+            itertools.product(ends, repeat=4), ([draw.randrange(d) for _ in range(4)] for _ in range(500))
+        )
+        for s in strategies:
+            assert evaluated(s, d) == closed_form(s, d)
 
     def test_rejects_out_of_range_outcomes(self):
         for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
@@ -252,6 +317,12 @@ class TestSampling:
             bl.sample_strategies(3, 5, seed=seed)
         assert isinstance(exc.value, BellLabError)
 
+    @pytest.mark.parametrize("n_samples", [2.9, True, "7", np.float64(3.0)])
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        # 2.9 used to draw 2 strategies, True 1 and "7" 7
+        with pytest.raises(EnumerationSizeError, match="sample count must be an integer"):
+            bl.sample_strategies(3, n_samples, seed=1)
+
     def test_sampled_values_subset_of_value_set(self):
         summary = bl.sample_strategies(33, 2000, seed=3)
         assert set(summary.histogram) <= bl.lhv_value_set(33)
@@ -325,14 +396,13 @@ class TestSampling:
 
 
 def assert_extreme_outcomes(d, dtype):
-    """Every strategy of extreme outcomes, as ``dtype``, against the exact
-    closed forms (sum mapping) and Python ints (difference mapping)."""
+    """Every strategy of extreme outcomes, as ``dtype``, against the closed
+    form (sum mapping) and Python ints (difference mapping)."""
     ends = np.array([0, 1, d - 2, d - 1], dtype=dtype)
     rows = np.stack(np.meshgrid(ends, ends, ends, ends, indexing="ij"), axis=-1).reshape(-1, 4)
     nums, cases = _accel.strategy_values(bl.OutcomeMapping.sum_mapping(d), *rows.T)
     for row, num, case in zip(rows.tolist(), nums.tolist(), cases.tolist()):
-        assert F(2 * num, d - 1) == bl.strategy_bell_value(row, d)
-        assert lhv.CASE_LABELS[case] == bl.classify_strategy(row, d)
+        assert (F(2 * num, d - 1), lhv.CASE_LABELS[case]) == closed_form(row, d)
 
     def g(a, b):
         return (a - b) % d
@@ -340,19 +410,6 @@ def assert_extreme_outcomes(d, dtype):
     nums, _ = _accel.strategy_values(bl.OutcomeMapping.difference_mapping(d), *rows.T)
     for (a1, a2, b1, b2), num in zip(rows.tolist(), nums.tolist()):
         assert num == (d - 1) + g(a2, b1) - g(a1, b1) - g(a2, b2) - (-g(a1, b2)) % d
-
-
-# (n1, n2) -> case label, where n1 counts which of a1+b1, a2+b2 reach d and n2
-# counts which of a1+b2, a2+b1 do; frozen from classify_strategy
-ORACLE_CASES = {
-    (0, 0): "Case1i",
-    (0, 1): "Case1ii",
-    (1, 0): "Case2i",
-    (1, 1): "Case2ii",
-    (1, 2): "Case2iii",
-    (2, 2): "Case3i",
-    (2, 1): "Case3ii",
-}
 
 
 def sampled_oracle(d, mapping, n_samples, seed):
@@ -557,6 +614,4 @@ class TestBackends:
         case = np.empty(d**4, np.int8)
         _accel.fill_strategy_arrays(d, g, num, case, 0, d)
         for idx, s in enumerate(all_strategies(d)):
-            expect = bl.strategy_bell_value(s, d)
-            assert F(2 * int(num[idx]), d - 1) == expect
-            assert lhv.CASE_LABELS[case[idx]] == bl.classify_strategy(s, d)
+            assert (F(2 * int(num[idx]), d - 1), lhv.CASE_LABELS[case[idx]]) == closed_form(s, d)
