@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
 from .core import (
+    PAIR_ORIENT,
     JointProbabilityTable,
+    _cglmp_fold,
+    _pair_sum,
     _sum_class_bell,
-    _sum_class_cglmp,
     bell_expression,
     cglmp_expression,
     check_dimension,
@@ -34,8 +38,10 @@ def noisy_table(table: JointProbabilityTable, visibility: float) -> JointProbabi
 
     visibility 1 returns the table's probabilities, 0 the uniform table; the
     Bell expression is linear in the visibility because the uniform part has
-    zero correlation.
+    zero correlation.  A string or a bool visibility raises ``TypeError``.
     """
+    if isinstance(visibility, (str, bool, np.bool_)):
+        raise TypeError(f"visibility must be a number, got {visibility!r}")
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
@@ -108,12 +114,19 @@ def optimize_phases(
     O(d log d)); no d x d table is built.  Once the step has halved to 0,
     every candidate is the current point, so each remaining halving is one
     sweep of 8 evaluations that changes nothing: they are counted, not run.
-    ``halvings`` must be an integer: a bool, a float or a string raises
-    ``TypeError``.
+    ``halvings`` must be a non-negative integer and ``step`` a positive
+    finite number: a bool, a string or (for ``halvings``) a float raises
+    ``TypeError``, and a value out of range ``ValueError``.
     """
     d = check_dimension(d)
     if type(halvings) is not int and not isinstance(halvings, np.integer):
         raise TypeError(f"halvings must be an integer, got {halvings!r}")
+    if halvings < 0:
+        raise ValueError(f"halvings must be non-negative, got {halvings}")
+    if not isinstance(step, Real) or isinstance(step, bool):
+        raise TypeError(f"step must be a number, got {step!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
     start = start or CANONICAL_PHASES
 
     # coordinate moves often return to phases already evaluated (a -width
@@ -148,7 +161,7 @@ def optimize_phases(
                         improved = True
         width *= 0.5
         remaining -= 1
-    evaluations += 8 * max(remaining, 0)
+    evaluations += 8 * remaining
     return OptimizationResult(
         start=start,
         start_value=start_value,
@@ -221,7 +234,7 @@ def scan_dimensions(d_max) -> ScanResult:
                 q_correlation=q,
                 bell_quantum=bell,
                 p_threshold=2.0 / bell,
-                cglmp_value=_sum_class_cglmp(sum_distributions(d)),
+                cglmp_value=_pair_sum(_cglmp_fold(sum_distributions(d), PAIR_ORIENT)),
                 lhv_max=lhv_max,
             )
         )

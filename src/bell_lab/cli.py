@@ -312,7 +312,7 @@ def _check_battery(d: int) -> list[tuple[str, bool, str]]:
     def record(name: str, ok: bool, detail: str) -> None:
         results.append((name, bool(ok), detail))
 
-    kern = core.correlation_kernel(d)
+    kern = core._PAIR_SIGN_AXES * core.bell_weights(d)
     zero = max(abs(int(kern[i - 1, j - 1].sum())) for i, j in core.SETTING_PAIRS)
     record("kernel-zero-sum", zero == 0, f"largest pair numerator sum {zero}")
 

@@ -16,10 +16,11 @@ correlations of exactly-represented tables can be evaluated in exact rational
 arithmetic alongside the floating-point path.  An exact table keeps integer
 numerators over one denominator: int64 while every exact sum taken of them
 fits in int64 and their float quotients are correctly rounded, Python ints
-otherwise (see ``JointProbabilityTable``).  The Bell weights
-``bell_weights(d)`` turn an exact Bell value into one integer dot product.  A
-table is checked once, when it is made; the evaluators take it as a valid
-behaviour.
+otherwise (see ``JointProbabilityTable``).  Every Bell-type value weighs a
+table by integer weights such as ``bell_weights(d)``, in one of two
+evaluators: ``_exact_value``, one integer dot product, and
+``_weighted_value``, a float sum per pair.  A table is checked once, when it
+is made; the evaluators take it as a valid behaviour.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ PAIR_KEYS = ("11", "12", "21", "22")
 PAIR_SIGNS = (1, 1, -1, 1)
 # Orientation of each pair's mapped outcome: the reversed pair (1,2) reads -g.
 PAIR_ORIENT = (1, -1, 1, 1)
+_PAIR_SIGN_AXES = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
 
 # Tables built in memory must be normalized to near machine precision;
 # tables parsed from text files get a looser gate.
@@ -168,30 +170,17 @@ def _spin_weights(d: int, g: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def correlation_kernel(d) -> np.ndarray:
-    """Kernel numerators 2 * f_ij(m, n) at ``[i-1, j-1, m, n]``, over the denominator d - 1.
-
-    They are the spin weights of the sum mapping, returned as one cached
-    read-only int64 (2, 2, d, d) array.  The cache keeps the kernels of the
-    eight dimensions used last, so a loop over d holds eight, not all.
-    """
-    d = check_dimension(d)
-    kern = _spin_weights(d, OutcomeMapping.sum_mapping(d).table)
-    kern.setflags(write=False)
-    return kern
-
-
-@lru_cache(maxsize=8)
 def bell_weights(d) -> np.ndarray:
-    """Bell numerators ``PAIR_SIGNS`` times ``correlation_kernel(d)``, over the denominator d - 1.
+    """Bell numerators ``PAIR_SIGNS`` times the sum mapping's spin weights, over the denominator d - 1.
 
-    Summed against a table they give its Bell expression in one product:
-    I = sum(bell_weights(d) * p) / (d - 1).  One cached read-only int64
-    (2, 2, d, d) array.  Each row of each pair is a permutation of the
-    weights (d - 1) - 2k, k = 0..d-1, so each pair sums to zero.
+    Each pair times its sign is its kernel 2 * f_ij(m, n), which ``correlation``
+    reads; the whole gives I = sum(bell_weights(d) * p) / (d - 1).  A read-only
+    int64 (2, 2, d, d) array, cached for the eight dimensions used last.  Each
+    row of each pair is a permutation of the weights (d - 1) - 2k, so each
+    pair sums to zero.
     """
     d = check_dimension(d)
-    weights = np.reshape(PAIR_SIGNS, (2, 2, 1, 1)) * correlation_kernel(d)
+    weights = _PAIR_SIGN_AXES * _spin_weights(d, OutcomeMapping.sum_mapping(d).table)
     weights.setflags(write=False)
     return weights
 
@@ -399,13 +388,20 @@ def random_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
 
 
 def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityTable:
-    """Random exact table: each setting pair holds integer weights 1..9 over their sum."""
-    pairs = []
-    for _ in range(4):
-        weights = rng.integers(1, 10, size=(d, d))
-        total = int(weights.sum())
-        pairs.append([[Fraction(int(w), total) for w in row] for row in weights])
-    return JointProbabilityTable.from_fractions([pairs[:2], pairs[2:]])
+    """Random exact table: each setting pair holds integer weights 1..9 over their sum.
+
+    It is the table ``from_fractions`` makes of the entries Fraction(w, T),
+    T the pair's total, built without them: with G = gcd(T, the pair's
+    weights) and L the lcm of the four T // G, entry w is
+    (w // G) * (L // (T // G)) over L, in Python ints where 9 * L passes int64.
+    """
+    weights = np.stack([rng.integers(1, 10, size=(d, d)) for _ in range(4)])
+    totals = weights.sum(axis=(1, 2)).tolist()
+    gcds = [math.gcd(total, int(np.gcd.reduce(w, axis=None))) for total, w in zip(totals, weights)]
+    denominator = math.lcm(*(total // g for total, g in zip(totals, gcds)))
+    kind = object if 9 * denominator >= _INT64_LIMIT else np.int64
+    nums = [(w // g).astype(kind) * (denominator // (t // g)) for w, t, g in zip(weights, totals, gcds)]
+    return JointProbabilityTable(d, numerators=np.reshape(nums, (2, 2, d, d)))
 
 
 def load_table(path) -> JointProbabilityTable:
@@ -424,31 +420,48 @@ def load_table(path) -> JointProbabilityTable:
     return JointProbabilityTable.from_json_dict(obj)
 
 
+def _exact_value(t: JointProbabilityTable, numerators: np.ndarray, weights: np.ndarray) -> Fraction:
+    """The exact sum(numerators * weights) / (denominator * (d - 1)), by one integer dot product.
+
+    The table's storage rule keeps the dot from wrapping.
+    """
+    return Fraction(int(np.vdot(numerators, weights)), t.denominator * (t.d - 1))
+
+
+def _weighted_value(weights: np.ndarray, p: np.ndarray) -> float:
+    """Each pair's float((w * q).sum()) / (d - 1), summed in ``SETTING_PAIRS`` order.
+
+    The pairs lie on the first two axes, of a table or of ``sum_distributions``.
+    """
+    d, cells = p.shape[-1], p.shape[2:]
+    pairs = zip(weights.reshape(-1, *cells), p.reshape(-1, *cells))
+    return sum(float((w * q).sum()) / (d - 1) for w, q in pairs)
+
+
 def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
     """Kernel-weighted correlation Q_ij of one setting pair.
 
-    A ``Fraction`` on an exact table, a float on any other.
+    Its weights are the pair's ``bell_weights`` times its sign, negated as
+    integers: a float negation would turn 0.0 into -0.0.  A ``Fraction`` on
+    an exact table, a float on any other.
     """
     i, j = _check_setting(i), _check_setting(j)
-    num = correlation_kernel(t.d)[i - 1, j - 1]
+    pair = np.s_[i - 1 : i, j - 1 : j]
+    weights = PAIR_SIGNS[SETTING_PAIRS.index((i, j))] * bell_weights(t.d)[pair]
     if t.is_exact:
-        total = np.vdot(t.numerators[i - 1, j - 1], num)
-        return Fraction(int(total), t.denominator * (t.d - 1))
-    return float((num * t.p[i - 1, j - 1]).sum()) / (t.d - 1)
+        return _exact_value(t, t.numerators[pair], weights)
+    return _weighted_value(weights, t.p[pair])
 
 
 def bell_expression(t: JointProbabilityTable) -> Fraction | float:
     """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns.
 
-    On an exact table it is one integer dot product of the numerators with
-    ``bell_weights(d)`` over denominator * (d - 1), which the table's storage
-    rule keeps from wrapping.  On a float table it is the signed sum of the
-    four ``correlation`` values, in that order.
+    Both evaluators read ``bell_weights(d)``: ``_exact_value`` on an exact
+    table, ``_weighted_value`` on a float one.
     """
     if t.is_exact:
-        total = np.vdot(t.numerators, bell_weights(t.d))
-        return Fraction(int(total), t.denominator * (t.d - 1))
-    return _pair_sum(correlation(t, i, j) for i, j in SETTING_PAIRS)
+        return _exact_value(t, t.numerators, bell_weights(t.d))
+    return _weighted_value(bell_weights(t.d), t.p)
 
 
 def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
@@ -503,9 +516,7 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
     if mapping.d != t.d:
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
     if t.is_exact:
-        signs = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
-        total = np.vdot(t.numerators, signs * _spin_weights(t.d, mapping.table))
-        return Fraction(int(total), t.denominator * (t.d - 1))
+        return _exact_value(t, t.numerators, _PAIR_SIGN_AXES * _spin_weights(t.d, mapping.table))
     spins = (t.d - 1) / 2.0 - np.arange(t.d)
     dists = (_mapped_distribution(p, mapping, o) for p, o in zip(t.p.reshape(4, t.d, t.d), PAIR_ORIENT))
     total = _pair_sum(float((spins * dist).sum()) for dist in dists)
@@ -528,31 +539,41 @@ def difference_probability(t: JointProbabilityTable, i: int, j: int, c: int) -> 
     return float(difference_distribution(t, i, j)[c % t.d])
 
 
-def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> float:
+def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
     """Probability-difference correlation over outcome differences.
 
     Q_ij = sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) *
            [P(A - B = k * e) - P(A - B = (-k - 1) * e)]   (mod d),
 
     where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
-    folded form of the spin correlation built on outcome differences.
+    folded form of the spin correlation built on outcome differences, whose
+    weights, with n read as -n, are the kernel's: on an exact table it is the
+    ``correlation`` of ``conjugate_second_party``.
     """
+    if t.is_exact:
+        return correlation(t.conjugate_second_party(), i, j)
     diff = difference_distribution(t, i, j)  # subtable checks i and j
-    return _cglmp_fold(diff, _orient(int(i), int(j)))
+    return _cglmp_fold(diff, _orient(int(i), int(j)))[0]
 
 
-def _cglmp_fold(diff: np.ndarray, e: int) -> float:
-    """The fold of ``cglmp_correlation`` over one pair's difference distribution, orientation e."""
-    diff, d = diff.tolist(), len(diff)
-    total = 0.0
-    for k in range(d // 2):
-        coeff = 1.0 - 2.0 * k / (d - 1)
-        total += coeff * (diff[(k * e) % d] - diff[((-k - 1) * e) % d])
-    return total
+def _cglmp_fold(dists: np.ndarray, orients) -> list[float]:
+    """The ``cglmp_correlation`` folds of a stack of distributions, each with its orientation.
+
+    One accumulate adds each fold's terms to 0.0 in k order: the float
+    operations of a loop over k.
+    """
+    d = dists.shape[-1]
+    q, e, k = dists.reshape(-1, d), np.reshape(orients, (-1, 1)), np.arange(d // 2)
+    rows = np.arange(len(q))[:, None]
+    terms = np.zeros((len(q), len(k) + 1))
+    terms[:, 1:] = (1.0 - 2.0 * k / (d - 1)) * (q[rows, k * e % d] - q[rows, (-k - 1) * e % d])
+    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
 
 
-def cglmp_expression(t: JointProbabilityTable) -> float:
-    """Bell expression assembled from the probability-difference correlations."""
+def cglmp_expression(t: JointProbabilityTable) -> Fraction | float:
+    """Bell expression assembled from the probability-difference correlations, of their type."""
+    if t.is_exact:
+        return bell_expression(t.conjugate_second_party())
     return _pair_sum(cglmp_correlation(t, i, j) for i, j in SETTING_PAIRS)
 
 
@@ -560,20 +581,8 @@ def _sum_class_bell(dists: np.ndarray) -> float:
     """``bell_expression`` of a table whose entries depend only on the outcome sum, in O(d).
 
     ``dists[i-1, j-1, k]`` is the probability that (m + n) mod d = k, as
-    ``quantum.sum_distributions`` returns it.  Kernel row m = 0 holds the
-    weight of each outcome-sum class; it is made here from that row's outcome
-    sums k, so no d x d kernel is built.
+    ``quantum.sum_distributions`` returns it; row m = 0 of ``bell_weights``,
+    made alone, weights it.
     """
     d = dists.shape[-1]
-    weights = _spin_weights(d, np.arange(d))  # correlation_kernel(d)[:, :, :1, :]
-    pairs = zip(weights.reshape(4, d), dists.reshape(4, d))
-    return _pair_sum(float((w * q).sum()) / (d - 1) for w, q in pairs)
-
-
-def _sum_class_cglmp(dists: np.ndarray) -> float:
-    """``cglmp_expression`` of the table's ``conjugate_second_party``, in O(d).
-
-    The relabelling n -> -n turns outcome sums into outcome differences, so
-    the conjugated table's difference distributions are ``dists``.
-    """
-    return _pair_sum(_cglmp_fold(q, e) for q, e in zip(dists.reshape(4, -1), PAIR_ORIENT))
+    return _weighted_value(_PAIR_SIGN_AXES * _spin_weights(d, np.arange(d)), dists)

@@ -5,6 +5,7 @@ entries are rounded to 10 decimal places.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ class TestNoise:
             bl.noisy_table(bl.born_table(3), 1.5)
         with pytest.raises(ValueError):
             bl.noisy_table(bl.born_table(3), -0.1)
+
+    @pytest.mark.parametrize("visibility", ["0.5", True, np.bool_(False)])
+    def test_visibility_must_be_a_number(self, visibility):
+        with pytest.raises(TypeError, match="visibility must be a number"):
+            bl.noisy_table(bl.born_table(3), visibility)
 
     def test_bell_value_linear_in_visibility(self):
         d = 3
@@ -268,6 +274,28 @@ class TestOptimizer:
         # 2.5 used to run 2 halvings
         with pytest.raises(TypeError, match="halvings must be an integer"):
             bl.optimize_phases(3, halvings=halvings)
+
+    @pytest.mark.parametrize("halvings", [-1, -3, np.int64(-2)])
+    def test_halvings_must_be_non_negative(self, halvings):
+        # -3 used to return the start after one evaluation
+        with pytest.raises(ValueError, match="halvings must be non-negative"):
+            bl.optimize_phases(3, halvings=halvings)
+
+    @pytest.mark.parametrize("step", ["0.05", True, None, 1j])
+    def test_step_must_be_a_number(self, step):
+        # "0.05" used to run as 0.05
+        with pytest.raises(TypeError, match="step must be a number"):
+            bl.optimize_phases(3, step=step)
+
+    @pytest.mark.parametrize("step", [0, 0.0, -0.05, math.inf, -math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step must be a positive finite number"):
+            bl.optimize_phases(3, step=step)
+
+    @pytest.mark.parametrize("step", [np.float64(0.05), 1, Fraction(1, 20)])
+    def test_any_real_step_runs(self, step):
+        result = bl.optimize_phases(3, step=step, halvings=2)
+        assert result.final_step == float(step) / 4
 
     def test_final_step_shrinks(self):
         result = bl.optimize_phases(2, step=0.05, halvings=10)

@@ -60,6 +60,18 @@ class TestQuantumCommand:
         assert diff < 1e-14
         assert reread["source"] == str(path)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_uniform_table_reads_zero_correlations(self, capsys, tmp_path, d):
+        # each pair's sign is applied to its integer weights: no correlation prints -0.0
+        uniform = np.full((d, d), 1.0 / d**2).tolist()
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"d": d, "tables": {key: uniform for key in core.PAIR_KEYS}}))
+        code, out, _ = run_cli(capsys, "quantum", "--input-file", str(path))
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert [repr(q) for q in summary["correlations"].values()] == ["0.0"] * 4
+        assert '"21": 0.0' in out and "-0.0" not in out
+
     def test_missing_arguments(self, capsys):
         for extra in ((), ("--phases", "0,0,0,0")):
             code, out, err = run_cli(capsys, "quantum", *extra)
@@ -654,7 +666,7 @@ class TestUsage:
         "noise": [(analysis, "noise_threshold"), (quantum, "spin_projection_distribution")],
         "cglmp": [(quantum, "measurement_basis")],
         "quantum": [(quantum, "measurement_basis"), (quantum, "closed_form_table")],
-        "check": [(core, "correlation_kernel"), (quantum, "measurement_basis")],
+        "check": [(core, "bell_weights"), (quantum, "measurement_basis")],
     }
 
     @pytest.mark.parametrize("command", sorted(HEAVY))

@@ -43,7 +43,15 @@ def weight_reversed(x, d) -> Fraction:
 
 
 def _kernel_weight(d, i, j, m, n) -> Fraction:
-    return Fraction(int(bl.correlation_kernel(d)[i - 1, j - 1, m, n]), d - 1)
+    """Kernel weight f_ij(m, n) / S from the scalar weights: the reversed pair (1, 2) reads -(m + n)."""
+    if (i, j) != (1, 2):
+        return weight_direct(m + n, d)
+    return weight_reversed(m + n, d) if (m + n) % d else Fraction(1)
+
+
+def kernel(d) -> np.ndarray:
+    """Each pair's kernel numerators 2 * f_ij(m, n) over d - 1: ``bell_weights`` times the pair's sign."""
+    return np.reshape(core.PAIR_SIGNS, (2, 2, 1, 1)) * bl.bell_weights(d)
 
 
 def _fraction_bell_oracle(subs) -> Fraction:
@@ -247,19 +255,22 @@ class TestKernel:
     def test_kernel_matches_scalar_weights(self):
         # the lone reversed pair is (1, 2), whose orientation flips m + n
         for d in (2, 3, 5):
+            kern = kernel(d)
             for m in range(d):
                 for n in range(d):
-                    assert _kernel_weight(d, 1, 1, m, n) == weight_direct(m + n, d)
-                    assert _kernel_weight(d, 2, 1, m, n) == weight_direct(m + n, d)
-                    assert _kernel_weight(d, 2, 2, m, n) == weight_direct(m + n, d)
+                    weight = {(i, j): Fraction(int(kern[i - 1, j - 1, m, n]), d - 1) for i, j in core.SETTING_PAIRS}
+                    assert weight[1, 1] == weight_direct(m + n, d)
+                    assert weight[2, 1] == weight_direct(m + n, d)
+                    assert weight[2, 2] == weight_direct(m + n, d)
                     if (m + n) % d:
-                        assert _kernel_weight(d, 1, 2, m, n) == weight_reversed(m + n, d)
+                        assert weight[1, 2] == weight_reversed(m + n, d)
                     else:
-                        assert _kernel_weight(d, 1, 2, m, n) == 1
+                        assert weight[1, 2] == 1
+                    assert all(weight[i, j] == _kernel_weight(d, i, j, m, n) for i, j in core.SETTING_PAIRS)
 
     def test_kernel_d2_is_chsh_sign_table(self):
         d = 2
-        w = bl.correlation_kernel(d) / (d - 1)
+        w = kernel(d) / (d - 1)
         for i, j in core.SETTING_PAIRS:
             expect = np.array([[1.0, -1.0], [-1.0, 1.0]])
             assert np.array_equal(w[i - 1, j - 1], expect)
@@ -267,7 +278,7 @@ class TestKernel:
     @given(st.integers(2, 30))
     @settings(max_examples=25, deadline=None)
     def test_kernel_rows_and_columns_sum_to_zero(self, d):
-        kern = bl.correlation_kernel(d)
+        kern = kernel(d)
         for i, j in core.SETTING_PAIRS:
             num = kern[i - 1, j - 1]
             assert num.sum(axis=0).max() == 0 == num.sum(axis=0).min()
@@ -276,7 +287,7 @@ class TestKernel:
     @given(st.integers(2, 30))
     @settings(max_examples=25, deadline=None)
     def test_kernel_rows_hold_every_weight_once(self, d):
-        kern = bl.correlation_kernel(d)
+        kern = kernel(d)
         expect = np.sort(d - 1 - 2 * np.arange(d))
         for i, j in core.SETTING_PAIRS:
             for m in range(d):
@@ -284,10 +295,11 @@ class TestKernel:
 
     def test_kernel_is_the_sum_mappings_spin_weights(self):
         for d in (2, 3, 8):
-            kern = bl.correlation_kernel(d)
-            assert kern is bl.correlation_kernel(d)
-            assert kern.dtype == np.int64 and kern.shape == (2, 2, d, d)
-            assert not kern.flags.writeable
+            weights = bl.bell_weights(d)
+            assert weights is bl.bell_weights(d)
+            assert weights.dtype == np.int64 and weights.shape == (2, 2, d, d)
+            assert not weights.flags.writeable
+            kern = kernel(d)
             g = bl.OutcomeMapping.sum_mapping(d).table
             for (i, j), o in zip(core.SETTING_PAIRS, core.PAIR_ORIENT):
                 # weight 2 * (S - k) of the spin projection S - k, k = (o * g) mod d
@@ -295,19 +307,19 @@ class TestKernel:
 
     def test_kernel_cache_is_bounded(self):
         for d in range(2, 60):
-            bl.correlation_kernel(d)
-        info = bl.correlation_kernel.cache_info()
+            bl.bell_weights(d)
+        info = bl.bell_weights.cache_info()
         assert info.maxsize == 8 and info.currsize == 8
-        assert bl.correlation_kernel(59) is bl.correlation_kernel(59)
+        assert bl.bell_weights(59) is bl.bell_weights(59)
 
     def test_check_builds_its_kernel_once(self, capsys):
-        bl.correlation_kernel.cache_clear()
+        bl.bell_weights.cache_clear()
         assert cli.run(["check", "--d", "16"]) == 0
         capsys.readouterr()
-        assert bl.correlation_kernel.cache_info().misses == 1
+        assert bl.bell_weights.cache_info().misses == 1
 
     def test_kernel_depends_only_on_sum_mod_d(self):
-        kern = bl.correlation_kernel(7)
+        kern = kernel(7)
         for i, j in core.SETTING_PAIRS:
             num = kern[i - 1, j - 1]
             for m in range(7):
@@ -375,6 +387,46 @@ class TestOutcomeMapping:
         assert np.array_equal(g(a[:, None], b), full[a[:, None], b])
         assert g(int(a[0]), int(b[0])) == expect[0]
         assert np.array_equal(g.table[a, b], expect)
+
+
+def fraction_rational_table(d, rng):
+    """``random_rational_table``'s four draws as ``Fraction`` entries w / total, through ``from_fractions``."""
+    pairs = []
+    for _ in range(4):
+        weights = rng.integers(1, 10, size=(d, d))
+        total = int(weights.sum())
+        pairs.append([[Fraction(int(w), total) for w in row] for row in weights])
+    return bl.JointProbabilityTable.from_fractions([pairs[:2], pairs[2:]])
+
+
+class TestRandomRationalTable:
+    @pytest.mark.parametrize("d", [*range(2, 65), 256])
+    def test_numerators_are_the_fraction_builds(self, d):
+        for seed in range(5 if d <= 64 else 1):
+            t = random_rational_table(d, np.random.default_rng(seed))
+            oracle = fraction_rational_table(d, np.random.default_rng(seed))
+            assert t.denominator == oracle.denominator
+            assert t.numerators.dtype == oracle.numerators.dtype
+            assert np.array_equal(t.numerators, oracle.numerators)
+            assert np.array_equal(t.p, oracle.p)
+
+    def test_pairs_with_a_common_factor(self):
+        # random draws almost never share a factor; these pairs share 2, 3, 6 and none
+        class Draws:
+            def __init__(self):
+                self.pairs = iter([[[2, 4], [6, 8]], [[3, 9], [6, 3]], [[6, 6], [6, 6]], [[1, 2], [3, 4]]])
+
+            def integers(self, low, high, size):
+                return np.array(next(self.pairs), dtype=np.int64)
+
+        t, oracle = random_rational_table(2, Draws()), fraction_rational_table(2, Draws())
+        assert t.denominator == oracle.denominator == 140  # lcm(20 // 2, 21 // 3, 24 // 6, 10)
+        assert np.array_equal(t.numerators, oracle.numerators)
+
+    def test_later_draws_do_not_move(self):
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        random_rational_table(12, rng), fraction_rational_table(12, oracle_rng)
+        assert rng.integers(2**62) == oracle_rng.integers(2**62)
 
 
 class TestJointProbabilityTable:
@@ -520,6 +572,10 @@ class TestJointProbabilityTable:
         t = random_table(4, rng)
         back = t.conjugate_second_party().conjugate_second_party()
         assert np.array_equal(back.p, t.p)
+        for d in (2, 3, 5, 8):
+            t = random_rational_table(d, rng)
+            back = t.conjugate_second_party().conjugate_second_party()
+            assert np.array_equal(back.numerators, t.numerators) and back.denominator == t.denominator
 
     @given(flawed_tables())
     @settings(max_examples=120, deadline=None)
@@ -591,7 +647,8 @@ class TestCorrelationAndBell:
         def values(t):
             kind = Fraction if t.is_exact else float
             out = [bl.correlation(t, i, j) for i, j in core.SETTING_PAIRS]
-            out += [bl.bell_expression(t), bl.bell_from_spin_correlations(t, mapping)]
+            out += [bl.cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+            out += [bl.bell_expression(t), bl.bell_from_spin_correlations(t, mapping), bl.cglmp_expression(t)]
             assert all(type(v) is kind for v in out)
             return out
 
@@ -644,7 +701,7 @@ class TestCorrelationAndBell:
     def test_correlation_weights_match_manual_sum(self, rng):
         d = 4
         t = random_table(d, rng)
-        kern = bl.correlation_kernel(d)
+        kern = kernel(d)
         for i, j in core.SETTING_PAIRS:
             manual = sum(
                 kern[i - 1, j - 1, m, n] / (d - 1) * t.p[i - 1, j - 1, m, n]
@@ -665,6 +722,19 @@ class TestCorrelationAndBell:
         )
         assert value == paired
         assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.sum_mapping(t.d))
+
+    # the d at which every pair's float product sum of the uniform table cancels to 0.0
+    UNIFORM_ZERO_D = (2, 3, 4, 8, 11, 12, 16, 32, 33, 35, 64)
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_uniform_float_correlations_are_never_negative_zero(self, d):
+        # the sign of Q_21 multiplies the integer weights; a float negation
+        # of the sum would print -0.0
+        t = bl.JointProbabilityTable.from_array(np.full((2, 2, d, d), 1.0 / d**2))
+        reprs = [repr(bl.correlation(t, i, j)) for i, j in core.SETTING_PAIRS]
+        assert "-0.0" not in reprs
+        if d in self.UNIFORM_ZERO_D:
+            assert reprs == ["0.0"] * 4
 
     def test_bell_combination_signs(self, rng):
         t = random_table(3, rng)
@@ -765,6 +835,55 @@ class TestCglmpPieces:
                 t, i, j, sig
             )
             assert abs(bl.cglmp_correlation(t, i, j) - expect) < 1e-14
+
+
+def loop_fold(diff, e) -> float:
+    """The CGLMP fold of one difference distribution as a loop over k, from 0.0."""
+    diff, d = diff.tolist(), len(diff)
+    total = 0.0
+    for k in range(d // 2):
+        coeff = 1.0 - 2.0 * k / (d - 1)
+        total += coeff * (diff[(k * e) % d] - diff[((-k - 1) * e) % d])
+    return total
+
+
+class TestCglmpFold:
+    def test_fold_is_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for d in [*range(2, 601), 1000, 2000]:
+            rows = np.concatenate([bl.sum_distributions(d).reshape(4, d), rng.random((2, d))])
+            orients = [*core.PAIR_ORIENT, 1, -1]
+            assert core._cglmp_fold(rows, orients) == [loop_fold(q, e) for q, e in zip(rows, orients)]
+            for e in (1, -1):
+                assert core._cglmp_fold(rows, [e] * len(rows)) == [loop_fold(q, e) for q in rows]
+
+    def test_scan_column_is_the_fold_of_the_sum_distributions(self):
+        for row in bl.scan_dimensions(40).rows:
+            dists = bl.sum_distributions(row.d).reshape(4, row.d)
+            folds = [loop_fold(q, e) for q, e in zip(dists, core.PAIR_ORIENT)]
+            assert row.cglmp_value == folds[0] + folds[1] - folds[2] + folds[3]
+
+
+class TestExactCglmp:
+    """The paper's second set of correlation functions, CGLMP's, as an exact identity."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_conjugated_cglmp_is_the_bell_value_on_rational_tables(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            t = random_rational_table(d, rng)
+            u = t.conjugate_second_party()
+            value = bl.cglmp_expression(u)
+            assert type(value) is Fraction and value == bl.bell_expression(t)
+            for i, j in core.SETTING_PAIRS:
+                q = bl.cglmp_correlation(u, i, j)
+                assert type(q) is Fraction and q == bl.correlation(t, i, j)
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_conjugated_cglmp_is_the_bell_value_on_every_point_mass_table(self, d):
+        for s in np.ndindex(d, d, d, d):
+            t = bl.strategy_to_table(s, d)
+            assert bl.cglmp_expression(t.conjugate_second_party()) == bl.bell_expression(t)
 
 
 class TestQutritComplexForm:

@@ -232,8 +232,11 @@ class TestBellWeights:
         assert not w.sum(axis=(2, 3)).any()
         # every row of every pair is a permutation of the weights (d - 1) - 2k
         assert (np.sort(w, axis=3) == np.arange(1 - d, d, 2)).all()
-        signs = np.reshape([SIGN[key] for key in PAIRS], (2, 2, 1, 1))
-        assert np.array_equal(w, signs * bl.correlation_kernel(d))
+        # pair (i, j) is its sign times the spin weights (d - 1) - 2k of k = (o * (m + n)) mod d
+        m = np.arange(d)
+        for i, j in PAIRS:
+            k = (ORIENT[i, j] * (m[:, None] + m)) % d
+            assert np.array_equal(w[i - 1, j - 1], SIGN[i, j] * ((d - 1) - 2 * k))
 
     def test_read_only_and_cached(self):
         w = bl.bell_weights(7)
@@ -245,9 +248,10 @@ class TestBellWeights:
 
     @pytest.mark.parametrize("d", [*range(2, 65), 399, 1000])
     def test_cglmp_coefficients_are_the_kernel(self, d):
-        kern = bl.correlation_kernel(d)
+        # each pair's kernel is its Bell weights times its sign
+        w = bl.bell_weights(d)
         for (i, j) in PAIRS:
-            assert np.array_equal(_cglmp_weights(d, ORIENT[i, j]), kern[i - 1, j - 1])
+            assert np.array_equal(_cglmp_weights(d, ORIENT[i, j]), SIGN[i, j] * w[i - 1, j - 1])
 
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
