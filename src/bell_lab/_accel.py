@@ -6,7 +6,8 @@ Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
 (``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
 way, into a class of b1 and a class of b2.  ``strategy_values`` is the one
 per-strategy formula: ``lhv.strategy_bell_value`` and ``classify_strategy``
-run it on Python ints, and ``lhv.sample_strategies`` on each drawn chunk.
+run it on Python ints, ``lhv.sample_strategies`` on each drawn chunk, and
+the ``lhv-cross-identity`` row of ``check`` on its strategy columns.
 ``count_strategies`` uses the separation to summarise all d**4 strategies
 from per-pair histograms, built for a block of a1 at a time, in O(d**2)
 memory.  Its time is O(d**4): the products of the value histograms,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab
-from bell_lab import analysis, cli, core, lhv, quantum
+from bell_lab import _accel, analysis, cli, core, lhv, quantum
 from bell_lab.errors import DimensionError, NormalizationError
 from conftest import as_lists, sum_amplitude_table
 
@@ -599,6 +599,26 @@ class TestCglmpCommand:
         assert obj["delta"] < 1e-10
 
 
+def scalar_cross_identity(rows, d):
+    """Oracle of ``cli._lhv_cross_identity``: one strategy at a time, through an exact table.
+
+    Each strategy's ``strategy_bell_value`` must equal ``bell_expression`` of
+    its ``strategy_to_table`` and lie in the value set of its
+    ``classify_strategy`` label.
+    """
+    value_sets = {label: lhv.case_value_set(label, d) for label in lhv.CASE_LABELS}
+    cross_ok = case_ok = True
+    for s in map(tuple, rows):
+        value = lhv.strategy_bell_value(s, d)
+        cross_ok &= value == core.bell_expression(lhv.strategy_to_table(s, d))
+        case_ok &= value in value_sets[lhv.classify_strategy(s, d)]
+    return cross_ok, case_ok
+
+
+def every_strategy(d):
+    return np.indices((d,) * 4).reshape(4, -1).T
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("d", ["2", "3", "5"])
     def test_battery_passes(self, capsys, d):
@@ -618,6 +638,83 @@ class TestCheckCommand:
         assert sum(line.startswith("FAIL") for line in lines) == 1
         assert lines[-1] == "13/14 checks passed for d = 5"
         assert err == ""
+
+    def assert_one_failing_row(self, capsys, name, detail):
+        code, out, err = run_cli(capsys, "check", "--d", "5")
+        assert code == 1
+        lines = out.splitlines()
+        assert f"FAIL {name}: {detail}" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "13/14 checks passed for d = 5"
+        assert err == ""
+
+    def test_shifted_numerator_fails_cross_identity(self, capsys, monkeypatch):
+        real = _accel.strategy_values
+
+        def shifted(g, *outcomes):
+            num, case = real(g, *outcomes)
+            num = num.copy()
+            num[0] += 1
+            return num, case
+
+        monkeypatch.setattr(_accel, "strategy_values", shifted)
+        self.assert_one_failing_row(capsys, "lhv-cross-identity", "625 strategies, closed form vs table path")
+
+    def test_wrong_case_code_fails_cross_identity(self, capsys, monkeypatch):
+        real = _accel.strategy_values
+
+        def relabelled(g, *outcomes):
+            num, case = real(g, *outcomes)
+            # the first row, (0, 0, 0, 0), has value 2, which Case1ii does not admit
+            assert num[0] == g.d - 1
+            case = case.copy()
+            case[0] = lhv.CASE_LABELS.index("Case1ii")
+            return num, case
+
+        monkeypatch.setattr(_accel, "strategy_values", relabelled)
+        self.assert_one_failing_row(capsys, "lhv-cross-identity", "625 strategies, closed form vs table path")
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cross_identity_matches_oracle_on_every_strategy(self, d):
+        rows = every_strategy(d)
+        assert cli._lhv_cross_identity(rows, d) == scalar_cross_identity(rows, d) == (True, True)
+
+    @pytest.mark.parametrize("d", range(7, 17))
+    def test_cross_identity_matches_oracle_on_drawn_rows(self, d):
+        rows = np.random.default_rng(d).integers(0, d, size=(200, 4))
+        assert cli._lhv_cross_identity(rows, d) == scalar_cross_identity(rows, d) == (True, True)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_cross_identity_matches_oracle_on_corrupt_weights(self, monkeypatch, d):
+        # both sides read core.bell_weights: one wrong weight fails the value
+        # comparison of every strategy whose point mass sits on it, and only it
+        weights = core.bell_weights(d).copy()
+        weights[1, 0, 1, 2] += 2
+        monkeypatch.setattr(core, "bell_weights", lambda d: weights)
+        rows = every_strategy(d)
+        assert cli._lhv_cross_identity(rows, d) == scalar_cross_identity(rows, d) == (False, True)
+
+    @pytest.mark.parametrize("d", ["6", "16"])
+    def test_no_per_strategy_tables(self, capsys, monkeypatch, d):
+        # the lhv-cross-identity row evaluates all its strategies as arrays
+        to_table, builds = [], []
+        real_to_table = lhv.strategy_to_table
+        real_post_init = core.JointProbabilityTable.__post_init__
+
+        def counting_to_table(s, d):
+            to_table.append(s)
+            return real_to_table(s, d)
+
+        def counting_post_init(self, _tol):
+            builds.append(self.d)
+            real_post_init(self, _tol)
+
+        monkeypatch.setattr(lhv, "strategy_to_table", counting_to_table)
+        monkeypatch.setattr(core.JointProbabilityTable, "__post_init__", counting_post_init)
+        code, _, _ = run_cli(capsys, "check", "--d", d)
+        assert code == 0
+        assert to_table == []
+        assert 0 < len(builds) <= 20
 
     def test_born_table_builds(self, capsys, monkeypatch):
         builds = []
