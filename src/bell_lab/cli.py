@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -564,7 +565,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    gc.freeze()  # finalization's cycle collections then skip the heap that import built
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -453,6 +454,35 @@ class TestScanCommand:
         assert (code, out) == (2, "")
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
 
+    @pytest.mark.parametrize("d", [536870911, analysis.SCAN_D_LIMIT + 1])
+    def test_dmax_above_the_scan_limit(self, capsys, monkeypatch, d):
+        # below TABLE_LIMIT, so only the work bound refuses it, before the first row
+        assert d < self.TABLE_LIMIT
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("scan built a row for a --dmax above SCAN_D_LIMIT")
+
+        monkeypatch.setattr(analysis, "sum_distributions", unreachable)
+        monkeypatch.setattr(analysis, "enumerate_strategies", unreachable)
+        code, out, err = run_cli(capsys, "scan", "--dmax", str(d))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: scan is supported for d_max <= {analysis.SCAN_D_LIMIT}"
+            f" (its time grows as d_max**2), got {d}\n"
+        )
+
+    def test_dmax_at_the_scan_limit_passes_the_guard(self, monkeypatch):
+        class RowBuilt(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise RowBuilt
+
+        monkeypatch.setattr(analysis, "sum_distributions", sentinel)
+        monkeypatch.setattr(analysis, "enumerate_strategies", sentinel)
+        with pytest.raises(RowBuilt):
+            cli.run(["scan", "--dmax", str(analysis.SCAN_D_LIMIT)])
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "scan", "--dmax", "6")
         _, out2, _ = run_cli(capsys, "scan", "--dmax", "6")
@@ -779,13 +809,16 @@ class TestUsage:
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
 
 
-def run_child(module, argv):
-    """``python -m module *argv`` in a child process that imports this checkout."""
+def run_python(*args, text=True):
+    """``python *args`` in a child process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(bell_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env, timeout=120)
+
+
+def run_child(module, argv):
+    """``python -m module *argv`` in a child process that imports this checkout."""
+    return run_python("-m", module, *argv)
 
 
 class TestModuleEntryPoints:
@@ -805,16 +838,74 @@ class TestModuleEntryPoints:
             "noise --d 3",
             "optimize --d 3 --halvings 2",
             "cglmp --d 3",
+            "check --d 2",
             "check --d 3",
             "noise --d 1",
         ],
     )
     def test_every_subcommand_writes_what_run_writes(self, capsys, argv):
-        # the child writes to a real pipe, not to the capture buffer
+        # the child writes to a real pipe, not to the capture buffer, and
+        # exits through main: the same bytes and status, and at most one
+        # error line
         code, out, err = run_cli(capsys, *argv.split())
-        child = run_child("bell_lab", argv.split())
-        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+        child = run_python("-m", "bell_lab", *argv.split(), text=False)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out.encode(), err.encode())
         assert out or err
+        assert err.count("\n") <= 1
+
+
+class TestMainExit:
+    """``cli.main`` freezes the heap after ``run`` returns, then exits with its status.
+
+    The frozen heap is what finalization's cycle collections skip; nothing
+    else about exit changes.  ``cli.run`` and the library never freeze.
+    ``TestModuleEntryPoints`` checks the bytes and statuses 0 and 2 of
+    children that exit through ``main``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("status", [0, 1, 2])
+    def test_exits_with_the_status_of_run(self, monkeypatch, status):
+        counts = []
+
+        def fake_run(argv=None):
+            counts.append(gc.get_freeze_count())
+            return status
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == status
+        assert counts == [0]
+        assert gc.get_freeze_count() > 0
+
+    def test_import_and_run_do_not_freeze(self, capsys):
+        child = run_python("-c", "import gc, bell_lab; print(gc.get_freeze_count())")
+        assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+        assert run_cli(capsys, "check", "--d", "2")[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_child_failing_check_exits_1_after_its_atexit_handlers(self):
+        # the handler reports the freeze count at exit: main froze, and
+        # atexit handlers still ran
+        child = run_python(
+            "-c",
+            "import atexit, gc, sys\n"
+            "from bell_lab import cli\n"
+            "atexit.register(lambda: sys.stderr.write(f'{gc.get_freeze_count()}\\n'))\n"
+            "cli._check_battery = lambda d: [('patched', False, 'forced failure')]\n"
+            "cli.main()\n",
+            "check",
+            "--d",
+            "2",
+        )
+        assert child.returncode == 1
+        assert child.stdout == "FAIL patched: forced failure\n0/1 checks passed for d = 2\n"
+        assert int(child.stderr) > 0
 
 
 class TestGoldenStdout:
