@@ -3,8 +3,10 @@
 A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2 = (d-1) + X[b1] + Y[b2],
 where, for its pair (a1, a2), X[b1] = g(a2,b1) - g(a1,b1) and
 Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
-(``OutcomeMapping``, evaluated elementwise).  Its case code splits the same
-way, into a class of b1 and a class of b2.  ``strategy_values`` is the one
+(``OutcomeMapping``, evaluated elementwise).  Every value of g lies in
+0..d-1, so (-g) mod d is (d - g)*[g != 0], with no division.  Its case code
+splits the same way, into a class of b1 and a class of b2, which together
+index ``CLASS_CASE``.  ``strategy_values`` is the one
 per-strategy formula: ``lhv.strategy_bell_value`` and ``classify_strategy``
 run it on Python ints, ``lhv.sample_strategies`` on each drawn chunk, and
 the ``lhv-cross-identity`` row of ``check`` on its strategy columns.
@@ -40,10 +42,13 @@ CASE_CODE = np.array(
     dtype=np.int8,
 )
 
-# case code by (class of b1, class of b2): the class of b1 is
+# case code at 4*(class of b1) + (class of b2): the class of b1 is
 # 2*[a1+b1 >= d] + [a2+b1 >= d] and the class of b2 is 2*[a2+b2 >= d] + [a1+b2 >= d]
 _N1_PART, _N2_PART = np.divmod(np.arange(4), 2)
-CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)]
+CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)].ravel()
+
+# int8 factor of the class bits, so that classes and the CLASS_CASE index stay int8
+_TWO = np.int8(2)
 
 # outcome cells (pairs (a1, a2) times outcomes b) per block of count_strategies
 _BLOCK = 1 << 15
@@ -57,13 +62,14 @@ def row_dtype(d):
 def _b1_part(g, a1, a2, b1):
     """X and the class of b1 for broadcastable outcome arrays."""
     d = g.d
-    return g(a2, b1) - g(a1, b1), 2 * (a1 + b1 >= d) + (a2 + b1 >= d)
+    return g(a2, b1) - g(a1, b1), _TWO * (a1 + b1 >= d) + (a2 + b1 >= d)
 
 
 def _b2_part(g, a1, a2, b2):
     """Y and the class of b2 for broadcastable outcome arrays."""
     d = g.d
-    return -g(a2, b2) - (-g(a1, b2)) % d, 2 * (a2 + b2 >= d) + (a1 + b2 >= d)
+    g12 = g(a1, b2)
+    return -g(a2, b2) - (d - g12) * (g12 != 0), _TWO * (a2 + b2 >= d) + (a1 + b2 >= d)
 
 
 def strategy_values(g, a1, a2, b1, b2):
@@ -74,7 +80,7 @@ def strategy_values(g, a1, a2, b1, b2):
     """
     x, u = _b1_part(g, a1, a2, b1)
     y, v = _b2_part(g, a1, a2, b2)
-    return (g.d - 1) + x + y, CLASS_CASE[u, v]
+    return (g.d - 1) + x + y, CLASS_CASE[4 * u + v]
 
 
 def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
@@ -131,7 +137,7 @@ def count_strategies(g):
 
     feasible = CLASS_CASE >= 0
     cases = np.zeros(int(CASE_CODE.max()) + 1, dtype=np.int64)
-    np.add.at(cases, CLASS_CASE[feasible], by_class[feasible])
+    np.add.at(cases, CLASS_CASE[feasible], by_class.ravel()[feasible])
 
     a1s, a2s = np.nonzero(top == top.max())
 

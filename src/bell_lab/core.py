@@ -204,7 +204,7 @@ def _check_probabilities(p: np.ndarray, tol: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointProbabilityTable:
     """Joint outcome distributions for the four setting pairs.
 
@@ -226,7 +226,8 @@ class JointProbabilityTable:
     denominator passes those bounds.  The input may be an integer array of
     any dtype or nested sequences of Python ints; each flaw raises the same
     error whatever the input's dtype, and pair sums are taken so that none
-    wraps around.
+    wraps around.  Tables compare and hash by identity: their arrays have no
+    single truth value to compare by.
     """
 
     d: int

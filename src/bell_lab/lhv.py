@@ -29,8 +29,12 @@ EXHAUSTIVE_LIMIT = 64
 # stay within int64
 _SAMPLE_D_LIMIT = 1 << 62
 
+# largest sample count drawn: about 10**7 strategies are drawn per second
+# (2 vCPUs), so a run at the limit takes about 30 s, as scan does at its limit
+SAMPLE_LIMIT = 300_000_000
+
 # strategies drawn at a time by sample_strategies
-_SAMPLE_CHUNK = 1 << 16
+_SAMPLE_CHUNK = 1 << 15
 
 # indexed by _accel.CASE_CODE; already in the sorted order that reports use
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
@@ -160,18 +164,87 @@ def _summary_from_counts(d, mapping, method, totals, cases, argmax_count, argmax
     )
 
 
+class _TopKeys:
+    """The rows that attain the largest numerator so far, one sortable key per row.
+
+    Up to d = 32768 a key is the uint64 a1 << 48 | a2 << 32 | b1 << 16 | b2:
+    the int16 row, columns reversed, read as one little-endian word.  Above,
+    it is the row as four big-endian int64 read as 32 raw bytes, which
+    compare as the row does because outcomes are non-negative.  Either way
+    the keys sort as the rows do.  They live in one array that starts empty
+    and grows in place by a quarter at a time.  When it is full, its keys
+    are sorted in place and compacted to the distinct ones if that frees at
+    least half; a sort that does not is not tried again before the store
+    holds twice as many keys.  So the sorts cost O(log n) per key, amortized,
+    and the room stays below 1.25 times the keys held plus one chunk's.
+    """
+
+    def __init__(self, d):
+        self.packed = _accel.row_dtype(d) == np.int16
+        self.keys = np.empty(0, "<u8" if self.packed else "V32")
+        self.clear()
+
+    def clear(self):
+        # retry: a full store holding no more keys than this is not sorted
+        self.n = self.retry = 0
+
+    def add(self, rows):
+        if self.packed:
+            keys = np.ascontiguousarray(rows[:, ::-1], "<i2").view("<u8")[:, 0]
+        else:
+            keys = np.ascontiguousarray(rows, ">i8").view("V32")[:, 0]
+        if self.n + len(keys) > len(self.keys) and self.n > self.retry:
+            self._compact()
+        end = self.n + len(keys)
+        if end > len(self.keys):
+            # in place: no view of the store outlives the method that made it
+            self.keys.resize(max(end, len(self.keys) * 5 // 4), refcheck=False)
+        self.keys[self.n : end] = keys
+        self.n = end
+
+    def _compact(self) -> int:
+        """Sort the keys held in place and return how many are distinct.
+
+        The repeats are dropped if that frees at least half of the keys held,
+        so the copy this takes holds at most half of them; if not, the next
+        sort waits until twice as many keys are held.
+        """
+        held = self.keys[: self.n]
+        held.sort()
+        differs = held[1:] != held[:-1]
+        distinct = 1 + int(np.count_nonzero(differs))
+        if 2 * distinct <= self.n:
+            self.keys[1:distinct] = held[1:][differs]
+            self.n, self.retry = distinct, 0
+        else:
+            self.retry = 2 * self.n
+        return distinct
+
+    def finish(self) -> int:
+        """Sort the keys held, release the room left over and return the distinct count."""
+        distinct = self._compact()
+        self.keys.resize(self.n, refcheck=False)
+        return distinct
+
+    def rows(self) -> np.ndarray:
+        """The distinct rows after ``finish``, in lexicographic order, as ``_accel.row_dtype(d)``."""
+        keys = self.keys[np.concatenate(([True], self.keys[1:] != self.keys[:-1]))]
+        if self.packed:
+            return np.ascontiguousarray(keys.view("<i2").reshape(-1, 4)[:, ::-1], np.int16)
+        return keys.view(">i8").reshape(-1, 4).astype(np.int64)
+
+
 def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
     """Summary of explicit strategies, given as ``(strategies, nums, cases)`` chunks.
 
     Each chunk holds (n, 4) outcome rows with their numerators and case codes.
     Only running totals outlive a chunk: the count of each numerator that
-    occurs, the case histogram and the rows that attain the largest
-    numerator so far, each as one uint64 key where rows are int16.
+    occurs, the case histogram and a ``_TopKeys`` store of the rows that
+    attain the largest numerator so far.
     """
     totals = {}
     case_hist = np.zeros(len(CASE_LABELS), dtype=np.int64)
-    packed = _accel.row_dtype(d) == np.int16
-    top_num, tops = None, []
+    top_num, top = None, _TopKeys(d)
     for strategies, nums, cases in chunks:
         keys, counts = np.unique(nums, return_counts=True)
         for k, c in zip(keys.tolist(), counts.tolist()):
@@ -179,33 +252,14 @@ def _summarize(d, mapping, chunks, method, seed=None) -> EnumerationSummary:
         case_hist += np.bincount(cases, minlength=len(CASE_LABELS))
         chunk_max = keys[-1]
         if top_num is None or chunk_max > top_num:
-            top_num, tops = chunk_max, []
+            top_num = chunk_max
+            top.clear()
         if chunk_max == top_num:
-            rows = strategies[nums == chunk_max]
-            # int16 rows, columns reversed, are the little-endian uint64 keys
-            # a1 << 48 | a2 << 32 | b1 << 16 | b2, which sort as the rows do
-            tops.append(np.ascontiguousarray(rows[:, ::-1], "<i2").view("<u8")[:, 0] if packed else rows)
-            del rows
+            top.add(strategies[nums == chunk_max])
         # no array of this chunk stays alive while the next one is drawn
         del strategies, nums, cases, keys, counts
-    # the maximizing rows sorted lexicographically, each kept once (the rows
-    # of np.unique(axis=0)); a key's int16 view holds its row reversed
-    top = np.concatenate(tops)
-    tops.clear()
-    if packed:
-        top.sort()
-        differs = top[1:] != top[:-1]
-    else:
-        top = top[np.lexsort(top.T[::-1])].astype(np.int64, copy=False)
-        differs = (top[1:] != top[:-1]).any(axis=1)
-    argmax = top[np.concatenate(([True], differs))]
-
-    def argmax_rows():
-        if not packed:
-            return argmax
-        return np.ascontiguousarray(argmax.view("<i2").reshape(-1, 4)[:, ::-1], np.int16)
-
-    return _summary_from_counts(d, mapping, method, totals, case_hist, len(argmax), argmax_rows, seed)
+    argmax_count = top.finish()
+    return _summary_from_counts(d, mapping, method, totals, case_hist, argmax_count, top.rows, seed)
 
 
 def _checked_mapping(d, mapping: OutcomeMapping | None) -> OutcomeMapping:
@@ -248,16 +302,22 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     Draws ``n_samples`` strategies uniformly with replacement and summarises
     them like ``enumerate_strategies``; ``argmax`` holds the distinct
     maximizing rows drawn, as ``_accel.row_dtype(d)`` (int16 up to d = 32768).
-    The draw streams in chunks of ``_SAMPLE_CHUNK`` strategies from one
-    generator, the same stream as one whole draw, in int32 while that holds
-    the outcome sums (d <= 2**30).  The time is O(n_samples); the memory is
-    one chunk, the distinct numerators drawn (three under the named
-    mappings) and the maximizing draws, one uint64 key each up to d = 32768,
-    decoded into ``argmax`` rows only when read.  The mapping is evaluated
-    elementwise, and the sum and difference mappings are arithmetic that
-    builds no d x d table.  A d whose outcome sums would overflow int64, or
-    a sample count that is not an integer (a bool, a float or a string) or
-    lies above the cap ``intp.max // 32`` (2**58 - 1), raises
+    The draw streams in chunks of ``_SAMPLE_CHUNK`` (32768) strategies from
+    one generator, the same stream as one whole draw, in int32 while that
+    holds the outcome sums (d <= 2**30).  The time is O(n_samples).  The
+    memory is one chunk, the distinct numerators drawn (three under the
+    named mappings) and one key per maximizing row drawn (a uint64 up to
+    d = 32768), in a store that is compacted to its distinct keys whenever
+    that frees half of it (``_TopKeys``); the keys are decoded into
+    ``argmax`` rows only when read.  So at d = 3, with 30 maximizing rows,
+    the store never outgrows 1.25 chunks' keys (320 KiB) at any sample count
+    and keeps at most 60 keys in the summary, while at large d, where draws
+    rarely repeat, it grows with the maximizing draws, about one in six.
+    The mapping is evaluated elementwise, and the sum and difference mappings
+    are arithmetic that builds no d x d table.  A d whose outcome sums would
+    overflow int64, or a sample count that is not an integer (a bool, a
+    float or a string), lies above the cap ``intp.max // 32`` (2**58 - 1) or
+    above ``SAMPLE_LIMIT`` (3 * 10**8, about 30 s), raises
     ``EnumerationSizeError`` before anything is drawn.
     """
     d = check_dimension(d)
@@ -274,6 +334,11 @@ def sample_strategies(d, n_samples: int, seed: int, mapping: OutcomeMapping | No
     cap = np.iinfo(np.intp).max // 32
     if n_samples > cap:
         raise EnumerationSizeError(f"{n_samples} samples are too many: the sample count is capped at {cap}")
+    if n_samples > SAMPLE_LIMIT:
+        raise EnumerationSizeError(
+            f"sampling is supported for at most {SAMPLE_LIMIT} samples (its time grows with the count), "
+            f"got {n_samples}"
+        )
     mapping = _checked_mapping(d, mapping)
     rng = seeded_rng(seed)
     dtype = np.int32 if d <= 1 << 30 else np.int64

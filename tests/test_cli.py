@@ -196,6 +196,9 @@ class TestQuantumCommand:
 
 
 INT64_SUMS = "d = {d} is too large to sample: outcome sums up to 2(d - 1) must fit in int64 (d <= 2**62)"
+OVER_SAMPLE_LIMIT = (
+    f"sampling is supported for at most {lhv.SAMPLE_LIMIT} samples (its time grows with the count), got {{}}"
+)
 
 
 class TestLhvCommand:
@@ -261,6 +264,14 @@ class TestLhvCommand:
                 "288230376151711744 samples are too many: the sample count is capped at 288230376151711743",
                 id="3-288230376151711744",
             ),
+            # sample counts within the cap but above the work bound
+            pytest.param(
+                "3", "288230376151711743", OVER_SAMPLE_LIMIT.format(288230376151711743), id="3-288230376151711743"
+            ),
+            pytest.param(
+                "2000", str(lhv.SAMPLE_LIMIT + 1), OVER_SAMPLE_LIMIT.format(lhv.SAMPLE_LIMIT + 1),
+                id="2000-SAMPLE_LIMIT+1",
+            ),
         ],
     )
     def test_oversized_sample(self, capsys, d, samples, reason):
@@ -274,6 +285,17 @@ class TestLhvCommand:
         assert out == ""
         assert err == "error: " + reason.format(d=d) + "\n"
         assert peak < 2**20
+
+    def test_sample_count_at_the_limit_passes_the_guard(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(lhv, "_summarize", sentinel)
+        with pytest.raises(Drawn):
+            cli.run(["lhv", "--d", "3", "--samples", str(lhv.SAMPLE_LIMIT), "--seed", "1"])
 
     @pytest.mark.parametrize("d", ["1000000000", "2305843009213693952"])
     def test_huge_d_sample_answers(self, capsys, d):

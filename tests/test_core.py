@@ -461,6 +461,14 @@ class TestJointProbabilityTable:
         with pytest.raises(DimensionError):
             point_mass_table(3, m, n)
 
+    def test_tables_compare_and_hash_by_identity(self):
+        # generated field-wise, == raised ValueError on the arrays and hash TypeError
+        t, same = bl.born_table(3), bl.born_table(3)
+        assert t == t and t != same
+        assert hash(t) == hash(t)
+        assert len({t, same, t}) == 2
+        assert uniform_table(3) != uniform_table(3)
+
     def test_from_fractions_rejects_ragged_and_float_entries(self):
         half = Fraction(1, 2)
         ragged = (((half, half), (Fraction(0),)),) * 2

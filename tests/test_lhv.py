@@ -467,7 +467,9 @@ class TestSampledOracle:
     @pytest.mark.parametrize("kind", ["sum", "difference", "latin"])
     def test_small_chunks_match_one_draw(self, monkeypatch, kind, chunk):
         # many chunks hold no maximizing strategy, so later chunks raise the
-        # running maximum and drop the rows kept so far
+        # running maximum and drop the rows kept so far; the key store starts
+        # empty, so it fills on almost every chunk and is compacted where the
+        # maximizing rows repeat (small d) and grows where they do not
         monkeypatch.setattr(lhv, "_SAMPLE_CHUNK", chunk)
         assert_oracle_grid(kind, range(2, 13))
 
@@ -490,8 +492,10 @@ class TestSampledOracle:
         assert peak < 24 * 2**20
 
     def test_maximizing_draws_are_kept_as_one_key_each(self):
-        # about 334,000 of the 2,000,000 draws maximize; kept as int16 rows
-        # and made distinct with a lexsort, the call peaked at 12.9 MiB
+        # about 334,000 of the 2,000,000 draws maximize, nearly all distinct;
+        # kept as int16 rows and made distinct with a lexsort, the call
+        # peaked at 12.9 MiB, and with a list of keys and their concatenation
+        # at 5.7 MiB; with one store that grows in place it peaks at 4.3 MiB
         tracemalloc.start()
         try:
             summary = bl.sample_strategies(2000, 2_000_000, seed=1)
@@ -499,7 +503,53 @@ class TestSampledOracle:
         finally:
             tracemalloc.stop()
         assert summary.argmax_count > 300_000
-        assert peak < 9 * 2**20
+        assert peak < 5 * 2**20
+
+    def test_repeated_maximizing_draws_are_kept_once(self):
+        # about 1.85 million of the 5,000,000 draws maximize, but there are
+        # only 30 maximizing rows at d = 3: the store is compacted whenever
+        # it fills, so it never outgrows 1.25 chunks' keys (320 KiB)
+        tracemalloc.start()
+        try:
+            summary = bl.sample_strategies(3, 5_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.argmax_count == 30
+        assert peak < 2 * 2**20
+
+
+class TestTopKeys:
+    """The store of maximizing rows, driven directly."""
+
+    ROWS = np.array([[2, 1, 0, 0], [0, 0, 0, 1], [1, 2, 2, 2]])
+
+    @pytest.mark.parametrize("d, dtype", [(3, np.int16), (40000, np.int64)])
+    def test_repeats_are_compacted_in_place(self, d, dtype):
+        top = lhv._TopKeys(d)
+        for _ in range(10):
+            top.add(self.ROWS)
+        # the second add found 3 distinct keys in 3 and grew the store; the
+        # fourth, at twice as many keys, dropped the repeats, as every fill
+        # has since: 0 -> 3 -> 6 -> 9 keys
+        assert len(top.keys) == 9
+        assert top.finish() == 3
+        assert top.n == len(top.keys) == 3
+        rows = top.rows()
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, np.unique(self.ROWS, axis=0))
+
+    def test_distinct_keys_grow_the_store(self):
+        top = lhv._TopKeys(40)
+        rows = np.stack(np.unravel_index(np.arange(40**4)[::-997][:100], (40,) * 4), axis=1)
+        for lo in range(0, 100, 10):
+            top.add(rows[lo : lo + 10])
+        # sorted at 10, 30 and 62 keys, and no sort freed anything:
+        # 0 -> 10 -> 20 -> 30 -> 40 -> 50 -> 62 -> 77 -> 96 -> 120 keys
+        assert top.n == 100
+        assert len(top.keys) == 120
+        assert top.finish() == 100
+        assert np.array_equal(top.rows(), np.unique(rows, axis=0))
 
 
 def reference_summary(d, mapping):
