@@ -12,11 +12,13 @@ import numpy as np
 from .core import (
     PAIR_ORIENT,
     JointProbabilityTable,
+    OutcomeMapping,
     _cglmp_fold,
+    _outcome_classes,
     _pair_sum,
     _sum_class_bell,
     bell_expression,
-    cglmp_expression,
+    bell_from_spin_correlations,
     check_dimension,
 )
 from .errors import DimensionError
@@ -179,13 +181,17 @@ def optimize_phases(
 def cglmp_crosscheck(table: JointProbabilityTable) -> dict:
     """Evaluate the table's Bell value through the kernel and the probability-difference form.
 
-    The difference form reads outcomes in the complementary convention for
-    the second party (n -> -n mod d), which is the convention its
-    probability-difference terms are built for; both paths then measure the
-    same behaviour and must agree, on any table.
+    The difference form reads the second party's outcomes as -n mod d, the
+    convention its terms are built for, so it folds the table's outcome-sum
+    classes as ``scan`` folds ``sum_distributions``; on an exact table it is
+    the sum mapping's spin assembly.  Both paths measure the same behaviour
+    and must agree, on any table.
     """
     kernel_value = bell_expression(table)
-    cglmp_value = cglmp_expression(table.conjugate_second_party())
+    if table.is_exact:
+        cglmp_value = bell_from_spin_correlations(table, OutcomeMapping.sum_mapping(table.d))
+    else:
+        cglmp_value = _pair_sum(_cglmp_fold(_outcome_classes(table.p, 1).sum(axis=-1), PAIR_ORIENT))
     return {
         "kernel_value": kernel_value,
         "cglmp_value": cglmp_value,
@@ -217,8 +223,7 @@ def scan_dimensions(d_max) -> ScanResult:
     ``SCAN_LHV_LIMIT`` (read at each call) and left empty above it.  The
     ``cglmp_value`` column folds the outcome-sum distributions of
     ``sum_distributions`` (one FFT per setting pair, O(d log d) per row, no
-    d x d table),
-    which are the difference distributions of the conjugated table; it is
+    d x d table), as ``cglmp_crosscheck`` folds a table's classes; it is
     printed to 10 significant digits, where it agrees with ``born_table``.  A
     d_max whose table is too large for an array, or above ``SCAN_D_LIMIT``
     (read at each call), raises ``DimensionError`` before the first row.

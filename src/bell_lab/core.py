@@ -16,11 +16,12 @@ correlations of exactly-represented tables can be evaluated in exact rational
 arithmetic alongside the floating-point path.  An exact table keeps integer
 numerators over one denominator: int64 while every exact sum taken of them
 fits in int64 and their float quotients are correctly rounded, Python ints
-otherwise (see ``JointProbabilityTable``).  Every Bell-type value weighs a
-table by integer weights such as ``bell_weights(d)``, in one of two
-evaluators: ``_exact_value``, one integer dot product, and
-``_weighted_value``, a float sum per pair.  A table is checked once, when it
-is made; the evaluators take it as a valid behaviour.
+otherwise (see ``JointProbabilityTable``).  Bell-type values weigh a table
+by the integer weights of one rule, ``_signed_weights``: ``bell_weights(d)``
+on the sum mapping, CGLMP's on the difference mapping.  ``_value`` evaluates
+them: one integer dot product on an exact table, ``_weighted_value``'s float
+sum per pair on any other.  A table is checked once, when it is made; the
+evaluators take it as a valid behaviour.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ PAIR_KEYS = ("11", "12", "21", "22")
 PAIR_SIGNS = (1, 1, -1, 1)
 # Orientation of each pair's mapped outcome: the reversed pair (1,2) reads -g.
 PAIR_ORIENT = (1, -1, 1, 1)
-_PAIR_SIGN_AXES = np.reshape(PAIR_SIGNS, (2, 2, 1, 1))
 
 # Tables built in memory must be normalized to near machine precision;
 # tables parsed from text files get a looser gate.
@@ -104,16 +104,21 @@ class OutcomeMapping:
 
     The d x d integer table ``table[a, b] = g(a, b)`` is therefore a Latin
     square.  A custom mapping is given by its table, which the constructor
-    checks.  The named mappings, ``sum_mapping`` (a + b) mod d and
-    ``difference_mapping`` (a - b) mod d, are Latin squares by construction:
-    they are evaluated by arithmetic and build their table only when
-    ``table`` is first read.  That arithmetic is Python's ``+`` and ``-``, so
-    on Python ints of any size it is exact, and on arrays it is numpy's.
+    checks: an integer array, or nested Python ints and numpy integers (a
+    bool, a float or a string is none).  The named mappings, ``sum_mapping``
+    (a + b) mod d and ``difference_mapping`` (a - b) mod d, are Latin squares
+    by construction: they are evaluated by arithmetic and build their table
+    only when ``table`` is first read.  That arithmetic is Python's ``+`` and
+    ``-``, so on Python ints of any size it is exact, and on arrays numpy's.
     """
 
     def __init__(self, d, table, name: str = "custom"):
         d = check_dimension(d)
-        table = np.asarray(table, dtype=np.int64)
+        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
+            table = np.array(table, dtype=object)
+            if not all((type(x) is int or isinstance(x, np.integer)) and 0 <= x < d for x in table.flat):
+                raise MappingError(f"mapping entries must be integers in 0..{d - 1}")
+        table = np.array(table, dtype=np.int64)  # a copy: the caller's array stays writeable
         if table.shape != (d, d):
             raise MappingError(f"mapping table must be {d}x{d}, got {table.shape}")
         expect = np.arange(d)
@@ -159,28 +164,29 @@ class OutcomeMapping:
         return f"OutcomeMapping(d={self.d}, name={self.name!r})"
 
 
-def _spin_weights(d: int, g: np.ndarray) -> np.ndarray:
-    """Doubled spin weights (d - 1) - 2k of k = (o_ij * g) mod d, as int64 (2, 2, d, d).
+def _signed_weights(d: int, g: np.ndarray) -> np.ndarray:
+    """The one Bell weight rule: ``PAIR_SIGNS`` times (d - 1) - 2k, k = (o_ij * g) mod d, as int64.
 
-    Over the denominator d - 1 they are (S - k) / S, the weight of the
-    synthetic spin projection S - k of the mapped outcome g(m, n).
+    Over the denominator d - 1, (d - 1) - 2k is (S - k) / S, the weight of the
+    synthetic spin projection S - k of the mapped outcome g; the pairs lie on
+    the first two axes, the cells of ``g`` on the rest.
     """
-    orient = np.reshape(PAIR_ORIENT, (2, 2, 1, 1))
-    return (d - 1) - 2 * ((orient * g) % d)
+    axes = (2, 2, 1, 1)
+    return np.reshape(PAIR_SIGNS, axes) * ((d - 1) - 2 * ((np.reshape(PAIR_ORIENT, axes) * g) % d))
 
 
 @lru_cache(maxsize=8)
 def bell_weights(d) -> np.ndarray:
-    """Bell numerators ``PAIR_SIGNS`` times the sum mapping's spin weights, over the denominator d - 1.
+    """The weight rule on the sum mapping's table: Bell numerators over the denominator d - 1.
 
     Each pair times its sign is its kernel 2 * f_ij(m, n), which ``correlation``
     reads; the whole gives I = sum(bell_weights(d) * p) / (d - 1).  A read-only
     int64 (2, 2, d, d) array, cached for the eight dimensions used last.  Each
-    row of each pair is a permutation of the weights (d - 1) - 2k, so each
+    row of each pair is a permutation of the weights +-((d - 1) - 2k), so each
     pair sums to zero.
     """
     d = check_dimension(d)
-    weights = _PAIR_SIGN_AXES * _spin_weights(d, OutcomeMapping.sum_mapping(d).table)
+    weights = _signed_weights(d, OutcomeMapping.sum_mapping(d).table)
     weights.setflags(write=False)
     return weights
 
@@ -319,18 +325,6 @@ class JointProbabilityTable:
     def subtable(self, i: int, j: int) -> np.ndarray:
         return self.p[_check_setting(i) - 1, _check_setting(j) - 1]
 
-    def conjugate_second_party(self) -> "JointProbabilityTable":
-        """Relabel the second party's outcomes n -> -n (mod d).
-
-        This swaps the outcome-sum and outcome-difference conventions: sums of
-        the relabeled table are distributed like differences of the original.
-        """
-        k = np.arange(self.d)
-        index = np.ix_(range(2), range(2), k, (-k) % self.d)
-        if self.is_exact:
-            return JointProbabilityTable(self.d, numerators=self.numerators[index])
-        return JointProbabilityTable(self.d, self.p[index])
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -421,12 +415,14 @@ def load_table(path) -> JointProbabilityTable:
     return JointProbabilityTable.from_json_dict(obj)
 
 
-def _exact_value(t: JointProbabilityTable, numerators: np.ndarray, weights: np.ndarray) -> Fraction:
-    """The exact sum(numerators * weights) / (denominator * (d - 1)), by one integer dot product.
+def _value(t: JointProbabilityTable, weights: np.ndarray, pair=np.s_[:, :]) -> Fraction | float:
+    """The pairs ``pair`` of the table weighed by ``weights`` over d - 1, of the table's type.
 
-    The table's storage rule keeps the dot from wrapping.
+    An exact table takes one integer dot product, kept from wrapping by its storage rule.
     """
-    return Fraction(int(np.vdot(numerators, weights)), t.denominator * (t.d - 1))
+    if t.is_exact:
+        return Fraction(int(np.vdot(t.numerators[pair], weights)), t.denominator * (t.d - 1))
+    return _weighted_value(weights, t.p[pair])
 
 
 def _weighted_value(weights: np.ndarray, p: np.ndarray) -> float:
@@ -440,29 +436,20 @@ def _weighted_value(weights: np.ndarray, p: np.ndarray) -> float:
 
 
 def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
-    """Kernel-weighted correlation Q_ij of one setting pair.
+    """Kernel-weighted correlation Q_ij of a setting pair: a ``Fraction`` on an exact table, else a float."""
+    return _pair_value(t, i, j, bell_weights(t.d))
 
-    Its weights are the pair's ``bell_weights`` times its sign, negated as
-    integers: a float negation would turn 0.0 into -0.0.  A ``Fraction`` on
-    an exact table, a float on any other.
-    """
+
+def _pair_value(t: JointProbabilityTable, i: int, j: int, weights: np.ndarray) -> Fraction | float:
+    """Pair (i, j) weighed by its ``weights`` times its sign, in integers: a float negation gives -0.0."""
     i, j = _check_setting(i), _check_setting(j)
     pair = np.s_[i - 1 : i, j - 1 : j]
-    weights = PAIR_SIGNS[SETTING_PAIRS.index((i, j))] * bell_weights(t.d)[pair]
-    if t.is_exact:
-        return _exact_value(t, t.numerators[pair], weights)
-    return _weighted_value(weights, t.p[pair])
+    return _value(t, PAIR_SIGNS[SETTING_PAIRS.index((i, j))] * weights[pair], pair)
 
 
 def bell_expression(t: JointProbabilityTable) -> Fraction | float:
-    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns.
-
-    Both evaluators read ``bell_weights(d)``: ``_exact_value`` on an exact
-    table, ``_weighted_value`` on a float one.
-    """
-    if t.is_exact:
-        return _exact_value(t, t.numerators, bell_weights(t.d))
-    return _weighted_value(bell_weights(t.d), t.p)
+    """Bell expression I = Q_11 + Q_12 - Q_21 + Q_22, of the type ``correlation`` returns."""
+    return _value(t, bell_weights(t.d))
 
 
 def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
@@ -498,9 +485,10 @@ def mapped_spin_distribution(t: JointProbabilityTable, i: int, j: int, mapping: 
 
 
 def _mapped_distribution(p: np.ndarray, mapping: OutcomeMapping, sig: int) -> np.ndarray:
-    """Distribution of (sig * g(m, n)) mod d over the pair's probabilities ``p``."""
-    classes = (sig * mapping.table) % mapping.d
-    return np.bincount(classes.ravel(), weights=p.ravel(), minlength=mapping.d)
+    """Sums of ``p`` over the classes (sig * g(m, n)) mod d in flat order: bincount's bits, or exact ints."""
+    sums = np.zeros(mapping.d, dtype=p.dtype)
+    np.add.at(sums, ((sig * mapping.table) % mapping.d).ravel(), p.ravel())
+    return sums
 
 
 def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMapping) -> Fraction | float:
@@ -511,28 +499,35 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
 
         I = (1/S) * [C+(1,1) + C-(1,2) - C+(2,1) + C+(2,2)].
 
-    With the outcome-sum mapping the weights are the kernel itself, so this
-    reproduces ``bell_expression`` exactly.
+    C(i,j) weighs the class sums N_k of k = (o_ij * g(m, n)) mod d by the spin
+    S - k; on an exact table I = sum(sign * sum_k ((d - 1) - 2k) * N_k) over
+    denominator * (d - 1).  No Bell weight is read: with the sum mapping this
+    checks ``bell_expression``.
     """
     if mapping.d != t.d:
         raise MappingError(f"mapping is for d={mapping.d}, table has d={t.d}")
+    d = t.d
+    cells = (t.numerators if t.is_exact else t.p).reshape(4, d, d)
+    sums = [_mapped_distribution(q, mapping, o) for q, o in zip(cells, PAIR_ORIENT)]
     if t.is_exact:
-        return _exact_value(t, t.numerators, _PAIR_SIGN_AXES * _spin_weights(t.d, mapping.table))
-    spins = (t.d - 1) / 2.0 - np.arange(t.d)
-    dists = (_mapped_distribution(p, mapping, o) for p, o in zip(t.p.reshape(4, t.d, t.d), PAIR_ORIENT))
-    total = _pair_sum(float((spins * dist).sum()) for dist in dists)
-    return total / ((t.d - 1) / 2.0)
+        doubled = (d - 1) - 2 * np.arange(d).astype(cells.dtype)
+        return Fraction(int(_pair_sum((doubled * n).sum() for n in sums)), t.denominator * (d - 1))
+    spins = (d - 1) / 2.0 - np.arange(d)
+    return _pair_sum(float((spins * n).sum()) for n in sums) / ((d - 1) / 2.0)
+
+
+def _outcome_classes(p: np.ndarray, sig: int) -> np.ndarray:
+    """Class gather: [..., c, m] is p[..., m, (sig * (c - m)) mod d], sum class c at sig 1, difference at -1.
+
+    C-contiguous, as numpy's (2, 2, d, d) gather is not, so a row sums over m as a per-pair gather does.
+    """
+    m = np.arange(p.shape[-1])
+    return np.ascontiguousarray(p[..., m, (sig * (m[:, None] - m)) % len(m)])
 
 
 def difference_distribution(t: JointProbabilityTable, i: int, j: int) -> np.ndarray:
-    """Distribution of the outcome difference: entry c is P(m - n congruent to c mod d).
-
-    One gather of the d diagonals; row c sums p[m, (m - c) mod d] over m in
-    the same order as a per-c loop would.
-    """
-    p = t.subtable(i, j)
-    rows = np.arange(t.d)
-    return p[rows[None, :], (rows[None, :] - rows[:, None]) % t.d].sum(axis=1)
+    """Distribution of the outcome difference: entry c is P(m - n congruent to c mod d), summed over m."""
+    return _outcome_classes(t.subtable(i, j), -1).sum(axis=-1)
 
 
 def difference_probability(t: JointProbabilityTable, i: int, j: int, c: int) -> float:
@@ -547,12 +542,11 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | fl
            [P(A - B = k * e) - P(A - B = (-k - 1) * e)]   (mod d),
 
     where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
-    folded form of the spin correlation built on outcome differences, whose
-    weights, with n read as -n, are the kernel's: on an exact table it is the
-    ``correlation`` of ``conjugate_second_party``.
+    folded form of the difference mapping's spin correlation, whose weights
+    evaluate an exact table.
     """
     if t.is_exact:
-        return correlation(t.conjugate_second_party(), i, j)
+        return _pair_value(t, i, j, _signed_weights(t.d, OutcomeMapping.difference_mapping(t.d).table))
     diff = difference_distribution(t, i, j)  # subtable checks i and j
     return _cglmp_fold(diff, _orient(int(i), int(j)))[0]
 
@@ -572,9 +566,9 @@ def _cglmp_fold(dists: np.ndarray, orients) -> list[float]:
 
 
 def cglmp_expression(t: JointProbabilityTable) -> Fraction | float:
-    """Bell expression assembled from the probability-difference correlations, of their type."""
+    """Bell expression of the probability-difference correlations; on an exact table, one exact dot."""
     if t.is_exact:
-        return bell_expression(t.conjugate_second_party())
+        return _value(t, _signed_weights(t.d, OutcomeMapping.difference_mapping(t.d).table))
     return _pair_sum(cglmp_correlation(t, i, j) for i, j in SETTING_PAIRS)
 
 
@@ -582,8 +576,8 @@ def _sum_class_bell(dists: np.ndarray) -> float:
     """``bell_expression`` of a table whose entries depend only on the outcome sum, in O(d).
 
     ``dists[i-1, j-1, k]`` is the probability that (m + n) mod d = k, as
-    ``quantum.sum_distributions`` returns it; row m = 0 of ``bell_weights``,
-    made alone, weights it.
+    ``quantum.sum_distributions`` returns it; the weight rule on the classes
+    k, row m = 0 of ``bell_weights``, weights it.
     """
     d = dists.shape[-1]
-    return _weighted_value(_PAIR_SIGN_AXES * _spin_weights(d, np.arange(d)), dists)
+    return _weighted_value(_signed_weights(d, np.arange(d)), dists)

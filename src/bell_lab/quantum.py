@@ -26,6 +26,7 @@ from .core import (
     JointProbabilityTable,
     SETTING_PAIRS,
     _check_probabilities,
+    _outcome_classes,
     check_array_size,
     check_dimension,
 )
@@ -176,11 +177,10 @@ def shift_symmetry_deviation(t: JointProbabilityTable) -> float:
     Zero (to rounding) for any table whose entries depend only on the outcome
     sum mod d, as the entangled-state tables do.  Any two entries with the
     same outcome sum k are one shift apart, so this is the largest spread
-    max - min within a class, read from one gather of the entries
+    max - min within a class, read from the class gather of the entries
     (m, (k - m) mod d).
     """
-    m = np.arange(t.d)
-    by_sum = t.p[:, :, m, (m[:, None] - m) % t.d]
+    by_sum = _outcome_classes(t.p, 1)
     return float((by_sum.max(axis=-1) - by_sum.min(axis=-1)).max())
 
 

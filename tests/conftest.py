@@ -34,6 +34,31 @@ def as_lists(obj):
     return obj
 
 
+def count_tables(monkeypatch) -> list:
+    """Record the d of each ``JointProbabilityTable`` built from now on, through its constructor's check."""
+    built, check = [], JointProbabilityTable.__post_init__
+
+    def counting(self, _tol):
+        built.append(self.d)
+        check(self, _tol)
+
+    monkeypatch.setattr(JointProbabilityTable, "__post_init__", counting)
+    return built
+
+
+def conjugate_second_party(t) -> JointProbabilityTable:
+    """The table with the second party's outcomes relabelled n -> -n (mod d): the CGLMP oracle.
+
+    Its outcome sums are distributed like the differences of ``t``, so its
+    kernel values are the CGLMP values of ``t``, and the other way round.
+    """
+    k = np.arange(t.d)
+    index = np.ix_(range(2), range(2), k, (-k) % t.d)
+    if t.is_exact:
+        return JointProbabilityTable(t.d, numerators=t.numerators[index])
+    return JointProbabilityTable(t.d, t.p[index])
+
+
 def sum_amplitude_table(d, settings=None) -> JointProbabilityTable:
     """The quantum table from one length-d FFT per setting pair: the oracle of the outcome-sum path.
 

@@ -12,7 +12,7 @@ import pytest
 
 import bell_lab as bl
 from bell_lab import analysis, cli, core, quantum
-from conftest import random_table, sum_amplitude_table
+from conftest import conjugate_second_party, count_tables, random_table, sum_amplitude_table
 
 FROZEN_THRESHOLDS = {
     2: 0.7071067812,
@@ -211,6 +211,36 @@ class TestCglmpCrosscheck:
     def test_keys(self):
         assert set(bl.cglmp_crosscheck(bl.born_table(2))) == {"kernel_value", "cglmp_value", "delta"}
 
+    # from d = 8 on, summing the last axis of a strided (2, 2, d, d) gather
+    # differs from the per-pair gathers in the last bits
+    @pytest.mark.parametrize("d", [*range(2, 70), 127, 256, 384, 500, 1000])
+    def test_class_gather_is_the_relabel_oracle_and_the_per_pair_gathers(self, d):
+        rng = np.random.default_rng(d)
+        m = np.arange(d)
+        for t in (bl.born_table(d), bl.born_table(d, bl.random_settings(rng)), random_table(d, rng)):
+            assert bl.cglmp_crosscheck(t)["cglmp_value"] == bl.cglmp_expression(conjugate_second_party(t))
+            for i, j in core.SETTING_PAIRS:
+                p = t.subtable(i, j)
+                per_pair = p[m[None, :], (m[None, :] - m[:, None]) % d].sum(axis=1)
+                assert bl.difference_distribution(t, i, j).tolist() == per_pair.tolist()
+            by_sum = t.p[:, :, m, (m[:, None] - m) % d]
+            assert bl.shift_symmetry_deviation(t) == float((by_sum.max(axis=-1) - by_sum.min(axis=-1)).max())
+
+    def test_exact_crosscheck_builds_no_table(self, rng, monkeypatch):
+        # the sum mapping's spin assembly against the kernel dot: two exact computations
+        t = core.random_rational_table(7, rng)
+        built = count_tables(monkeypatch)
+        result = bl.cglmp_crosscheck(t)
+        assert built == []
+        assert type(result["cglmp_value"]) is Fraction and result["delta"] == 0
+        assert result["cglmp_value"] == bl.cglmp_expression(conjugate_second_party(t))
+
+    def test_cglmp_command_builds_one_table(self, capsys, monkeypatch):
+        built = count_tables(monkeypatch)
+        assert cli.run(["cglmp", "--d", "7"]) == 0
+        capsys.readouterr()
+        assert built == [7]
+
 
 class TestOptimizer:
     def test_canonical_start_is_already_optimal(self):
@@ -333,7 +363,7 @@ class TestScan:
         # the O(d) fold over the sum distributions, at the 10 digits scan prints
         for row in bl.scan_dimensions(400).rows:
             table = sum_amplitude_table(row.d)
-            expect = bl.cglmp_expression(table.conjugate_second_party())
+            expect = bl.cglmp_expression(conjugate_second_party(table))
             assert cli.fmt10(row.cglmp_value) == cli.fmt10(expect)
 
     def test_monotonicity_flags(self):

@@ -746,6 +746,23 @@ class TestCheckCommand:
         rows = every_strategy(d)
         assert cli._lhv_cross_identity(rows, d) == scalar_cross_identity(rows, d) == (False, True)
 
+    def test_exact_spin_assembly_fails_on_a_corrupt_weight_rule(self, monkeypatch):
+        # the exact assembly sums classes of numerators and reads no Bell
+        # weights, so only bell_expression sees the corruption
+        def assembly_detail() -> str:
+            return {name: detail for name, _, detail in cli._check_battery(5)}["spin-assembly-consistency"]
+
+        rule = core._signed_weights
+        core.bell_weights.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_signed_weights", lambda d, g: rule(d, g) + 1)
+                corrupt = assembly_detail()
+        finally:
+            core.bell_weights.cache_clear()
+        assert corrupt.endswith("exact match False")
+        assert assembly_detail().endswith("exact match True")
+
     @pytest.mark.parametrize("d", ["6", "16"])
     def test_no_per_strategy_tables(self, capsys, monkeypatch, d):
         # the lhv-cross-identity row evaluates all its strategies as arrays
@@ -935,7 +952,10 @@ class TestGoldenStdout:
 
     The digests were recorded before the Born-table and CGLMP rewrites that
     promise bit-identical floats, so any drift in the last printed digit
-    fails here.
+    fails here.  The ``quantum``, ``cglmp`` and ``check`` digests hold for the
+    OpenBLAS kernel selected by default on an AVX-512 CPU (SkylakeX): their
+    tables come from BLAS products, which add in the kernel's order.  Under
+    ``OPENBLAS_CORETYPE=Haswell`` 16 of them differ.
     """
 
     GOLDEN = {

@@ -25,7 +25,13 @@ from bell_lab.errors import (
     TableFormatError,
 )
 
-from conftest import assert_storage_rule, random_rational_table, random_table
+from conftest import (
+    assert_storage_rule,
+    conjugate_second_party,
+    count_tables,
+    random_rational_table,
+    random_table,
+)
 
 
 def weight_direct(x, d) -> Fraction:
@@ -134,7 +140,7 @@ def exact_tables(draw):
         shift = st.integers(-d, 2 * d)
         return relabel(t, draw(shift), draw(shift))
     if kind == "conjugate":
-        return t.conjugate_second_party()
+        return conjugate_second_party(t)
     return t
 
 
@@ -351,6 +357,41 @@ class TestOutcomeMapping:
     def test_rejects_out_of_range_values(self):
         with pytest.raises(MappingError):
             bl.OutcomeMapping(2, ((0, 3), (3, 0)), "broken")
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1.7], [1, 0]],
+            [[False, True], [True, False]],
+            np.array([[False, True], [True, False]]),
+            [["0", "1"], ["1", "0"]],
+            [[0, 2**64 + 1], [1, 0]],
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([[0, 2**63], [1, 0]], dtype=np.uint64),
+        ],
+    )
+    def test_rejects_entries_that_are_not_int64_integers(self, table):
+        # each was once coerced to a table, or raised a bare OverflowError
+        with pytest.raises(MappingError):
+            bl.OutcomeMapping(2, table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[1, 0, 2], [0, 2, 1], [2, 1, 0]], dtype=np.int32),
+            np.array([[1, 0, 2], [0, 2, 1], [2, 1, 0]], dtype=np.int64),
+            np.array([[1, 0, 2], [0, 2, 1], [2, 1, 0]], dtype=np.uint64),
+            [[1, 0, 2], [0, 2, 1], [2, 1, 0]],
+            [[np.int8(1), 0, np.uint64(2)], [0, 2, 1], [2, 1, 0]],
+        ],
+    )
+    def test_integer_tables_of_any_kind_give_one_table(self, table):
+        g = bl.OutcomeMapping(3, table)
+        assert g.table.dtype == np.int64
+        assert g.table.tolist() == [[1, 0, 2], [0, 2, 1], [2, 1, 0]]
+        # the mapping keeps a read-only copy; an int64 array was once frozen in place
+        assert not g.table.flags.writeable
+        assert not isinstance(table, np.ndarray) or table.flags.writeable
 
     def test_custom_latin_square_accepted(self):
         table = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
@@ -578,11 +619,11 @@ class TestJointProbabilityTable:
 
     def test_conjugate_second_party_is_involution(self, rng):
         t = random_table(4, rng)
-        back = t.conjugate_second_party().conjugate_second_party()
+        back = conjugate_second_party(conjugate_second_party(t))
         assert np.array_equal(back.p, t.p)
         for d in (2, 3, 5, 8):
             t = random_rational_table(d, rng)
-            back = t.conjugate_second_party().conjugate_second_party()
+            back = conjugate_second_party(conjugate_second_party(t))
             assert np.array_equal(back.numerators, t.numerators) and back.denominator == t.denominator
 
     @given(flawed_tables())
@@ -596,7 +637,7 @@ class TestJointProbabilityTable:
             if t.is_exact:
                 entries = [Fraction(x, t.denominator) for x in t.numerators.flat]
                 assert entries == [Fraction(x, den) for x in valid.flat]
-            for u in (t, t.conjugate_second_party()):
+            for u in (t, conjugate_second_party(t)):
                 if u.is_exact:
                     assert u.p.tobytes() == (u.numerators / u.denominator).astype(float).tobytes()
         for route, build in _routes(d, den, bad).items():
@@ -693,7 +734,7 @@ class TestCorrelationAndBell:
             (t, same, same),
             (relabel(t, a_shift, b_shift),
              [(m - a_shift) % d for m in same], [(n - b_shift) % d for n in same]),
-            (t.conjugate_second_party(), same, [(-n) % d for n in same]),
+            (conjugate_second_party(t), same, [(-n) % d for n in same]),
         )
         for u, rows, cols in cases:
             # entry (m, n) of u is entry (rows[m], cols[n]) of t
@@ -774,6 +815,15 @@ class TestSpinAssembly:
             for n in range(d):
                 manual[(-g(m, n)) % d] += t.p[1, 0, m, n]
         assert np.abs(dist - manual).max() < 1e-15
+
+    def test_float_class_sums_are_bincounts_bits(self, rng):
+        for d in (2, 3, 8, 31, 200):
+            t = random_table(d, rng)
+            for mapping in (bl.OutcomeMapping.sum_mapping(d), bl.OutcomeMapping.difference_mapping(d)):
+                for sig in (1, -1):
+                    classes = ((sig * mapping.table) % d).ravel()
+                    expect = np.bincount(classes, weights=t.p[0, 1].ravel(), minlength=d)
+                    assert core._mapped_distribution(t.subtable(1, 2), mapping, sig).tolist() == expect.tolist()
 
     def test_spin_assembly_equals_kernel_exactly(self, rng):
         g = None
@@ -880,18 +930,33 @@ class TestExactCglmp:
         rng = np.random.default_rng(d)
         for _ in range(3):
             t = random_rational_table(d, rng)
-            u = t.conjugate_second_party()
+            u = conjugate_second_party(t)
             value = bl.cglmp_expression(u)
             assert type(value) is Fraction and value == bl.bell_expression(t)
             for i, j in core.SETTING_PAIRS:
                 q = bl.cglmp_correlation(u, i, j)
                 assert type(q) is Fraction and q == bl.correlation(t, i, j)
 
+    @pytest.mark.parametrize("d", [*range(2, 41), 64])
+    def test_exact_cglmp_is_the_difference_mappings_functional(self, d, monkeypatch):
+        t = random_rational_table(d, np.random.default_rng(d))
+        assert d != 64 or t.numerators.dtype == object
+        u = conjugate_second_party(t)
+        built = count_tables(monkeypatch)
+        value = bl.cglmp_expression(t)
+        pairs = [bl.cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+        assert built == []
+        assert type(value) is Fraction
+        assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.difference_mapping(d))
+        assert value == bl.bell_expression(u)
+        for (i, j), q in zip(core.SETTING_PAIRS, pairs):
+            assert type(q) is Fraction and q == bl.correlation(u, i, j)
+
     @pytest.mark.parametrize("d", range(2, 6))
     def test_conjugated_cglmp_is_the_bell_value_on_every_point_mass_table(self, d):
         for s in np.ndindex(d, d, d, d):
             t = bl.strategy_to_table(s, d)
-            assert bl.cglmp_expression(t.conjugate_second_party()) == bl.bell_expression(t)
+            assert bl.cglmp_expression(conjugate_second_party(t)) == bl.bell_expression(t)
 
 
 class TestQutritComplexForm:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import bell_lab as bl
 from bell_lab.errors import NormalizationError, TableFormatError
 
-from conftest import assert_storage_rule, random_table
+from conftest import assert_storage_rule, conjugate_second_party, random_table
 
 PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 SIGN = {(1, 1): 1, (1, 2): 1, (2, 1): -1, (2, 2): 1}
@@ -153,7 +153,7 @@ class TestStorageRule:
 
     def test_point_masses_and_conjugates_stay_int64(self):
         t = bl.strategy_to_table((1, 2, 0, 2), 3)
-        assert t.numerators.dtype == t.conjugate_second_party().numerators.dtype == np.int64
+        assert t.numerators.dtype == conjugate_second_party(t).numerators.dtype == np.int64
         assert not t.numerators.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])

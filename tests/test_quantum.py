@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import bell_lab as bl
 from bell_lab import core
 from bell_lab.errors import DimensionError, NormalizationError, SingularAngleError
-from conftest import sum_amplitude_table
+from conftest import conjugate_second_party, sum_amplitude_table
 
 # 40-digit brute force, rounded; d=2,3,4 also match the radical forms
 FROZEN_Q = {2: 0.7071067812, 3: 0.7182335128, 4: 0.7240608046}
@@ -191,7 +191,7 @@ class TestSumAmplitudeTable:
 def table_path_values(d, s=None):
     """Bell and CGLMP values of the sum-amplitude table, through the d^2 table evaluators."""
     table = sum_amplitude_table(d, s)
-    return bl.bell_expression(table), bl.cglmp_expression(table.conjugate_second_party())
+    return bl.bell_expression(table), bl.cglmp_expression(conjugate_second_party(table))
 
 
 def sum_path_values(d, s=None):

@@ -1,5 +1,7 @@
 """README's fenced ``python`` blocks run as written, and its claims about the API hold."""
 
+import functools
+import inspect
 import re
 import tokenize
 from pathlib import Path
@@ -31,20 +33,43 @@ def code_names(path: Path) -> set:
     return names
 
 
-def test_every_exported_name_is_used():
-    # README: each name in __all__ "is used by the CLI, the check battery or
-    # the benchmark, bar classify_strategy", the tests' per-strategy case
-    # label.  In the package (bar its re-exports) a use is a name in
-    # code, not in a docstring or comment; in perfbench/, whose tracer names
-    # its targets as strings, it is any line other than the name's own def
-    # or class line
+def is_used():
+    """The test of whether a name is used.
+
+    In the package (bar its re-exports) a use is a name in code, not in a
+    docstring or comment; in perfbench/, whose tracer names its targets as
+    strings, it is any line other than the name's own def or class line.
+    """
     files = [f for f in (ROOT / "src" / "bell_lab").glob("*.py") if f.name != "__init__.py"]
     used = set().union(*map(code_names, files))
     lines = [line for f in (ROOT / "perfbench").glob("*.py") for line in f.read_text(encoding="utf-8").splitlines()]
-    unused = []
-    for name in bell_lab.__all__:
+
+    def check(name: str) -> bool:
         word = re.compile(rf"\b{re.escape(name)}\b")
         own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        if name not in used and not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
-    assert unused == ["classify_strategy"]
+        return name in used or any(word.search(line) and not own.match(line) for line in lines)
+
+    return check
+
+
+def test_every_exported_name_is_used():
+    # README: each name in __all__ "is used by the CLI, the check battery or
+    # the benchmark, bar classify_strategy", the tests' per-strategy case label
+    used = is_used()
+    assert [name for name in bell_lab.__all__ if not used(name)] == ["classify_strategy"]
+
+
+def test_every_public_method_of_an_exported_class_is_used():
+    # the same rule for the public methods and properties of the exported
+    # classes: one that only the tests call is dead API
+    used = is_used()
+    kinds = (classmethod, staticmethod, property, functools.cached_property)
+    methods = [
+        f"{cls.__name__}.{name}"
+        for cls in (getattr(bell_lab, export) for export in bell_lab.__all__)
+        if inspect.isclass(cls)
+        for name, attr in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(attr) or isinstance(attr, kinds))
+    ]
+    assert "OutcomeMapping.difference_mapping" in methods and "EnumerationSummary.argmax" in methods
+    assert [method for method in methods if not used(method.split(".")[1])] == []
