@@ -7,6 +7,15 @@ probability table for the maximally entangled state, and provides noise, scan,
 and optimization analyses plus a command line front end.
 """
 
+import os
+
+# Set before the submodules import numpy: OpenBLAS reads this exponent when it
+# loads, and its default of 28 keeps an idle worker thread spinning for about
+# 2**28 cycles (0.1 s of CPU in every short process) before it sleeps.  2**20
+# cycles is about 0.3 ms.  The thread count, and so every product's bits, is
+# unchanged; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .analysis import (
     OptimizationResult,
     ScanResult,

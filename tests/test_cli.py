@@ -848,10 +848,15 @@ class TestUsage:
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
 
 
-def run_python(*args, text=True):
-    """``python *args`` in a child process that imports this checkout."""
+def run_python(*args, text=True, env=None):
+    """``python *args`` in a child process that imports this checkout.
+
+    The child gets ``env`` (by default this process's environment) with this
+    checkout's ``src`` put first on its ``PYTHONPATH``.
+    """
+    env = dict(os.environ if env is None else env)
     src = os.path.dirname(os.path.dirname(bell_lab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env, timeout=120)
 
 
@@ -1057,6 +1062,61 @@ class TestGoldenStdout:
         assert source in out
         kept = out.replace(source, "")
         assert hashlib.sha256(kept.encode()).hexdigest() == self.READ_BACK_D64
+
+
+# a sitecustomize module that reports on stderr, at exit, the
+# OPENBLAS_THREAD_TIMEOUT that numpy's first import saw and the final one
+NUMPY_IMPORT_PROBE = """\
+import atexit, os, sys
+
+seen = []
+
+
+class NumpyImportProbe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+
+sys.meta_path.insert(0, NumpyImportProbe())
+atexit.register(lambda: sys.stderr.write(f"{seen} {os.environ.get('OPENBLAS_THREAD_TIMEOUT')}\\n"))
+"""
+
+
+def blas_timeout_env(value=None):
+    """This process's environment with OPENBLAS_THREAD_TIMEOUT set to ``value``, or unset.
+
+    Built explicitly: importing bell_lab here has already set the variable.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = value
+    return env
+
+
+class TestBlasThreadTimeout:
+    """Importing bell_lab shortens OpenBLAS's idle spin before numpy loads.
+
+    The default is only a spin timeout: the thread count, and so how each
+    product is split and summed, stays the same, and a caller's value wins.
+    """
+
+    @pytest.mark.parametrize("entry", [["-c", "import bell_lab"], ["-m", "bell_lab", "lhv", "--d", "2"]])
+    @pytest.mark.parametrize("given, expected", [(None, "20"), ("28", "28")])
+    def test_set_before_numpy_loads(self, tmp_path, entry, given, expected):
+        (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_PROBE)
+        child = run_python(*entry, env={**blas_timeout_env(given), "PYTHONPATH": str(tmp_path)})
+        assert child.returncode == 0
+        assert child.stderr == f"['{expected}'] {expected}\n"
+
+    @pytest.mark.parametrize("argv", ["cglmp --d 37", "check --d 16", "quantum --d 64", "quantum --d 384"])
+    @pytest.mark.parametrize("given", [None, "28"])
+    def test_blas_vectors_print_the_golden_bytes(self, argv, given):
+        # quantum --d 384's zgemm is split across OpenBLAS's threads
+        child = run_python("-m", "bell_lab", *argv.split(), text=False, env=blas_timeout_env(given))
+        assert child.returncode == 0
+        assert hashlib.sha256(child.stdout).hexdigest() == TestGoldenStdout.GOLDEN[argv]
 
 
 json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7, 1e300])
