@@ -1,12 +1,10 @@
 """Exact counting of deterministic local strategies.
 
-A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2 = (d-1) + X[b1] + Y[b2],
-where, for its pair (a1, a2), X[b1] = g(a2,b1) - g(a1,b1) and
-Y[b2] = -g(a2,b2) - ((-g(a1,b2)) mod d), with g the outcome mapping
-(``OutcomeMapping``, evaluated elementwise).  Every value of g lies in
-0..d-1, so (-g) mod d is (d - g)*[g != 0], with no division.  Its case code
-splits the same way, into a class of b1 and a class of b2, which together
-index ``CLASS_CASE``.  ``strategy_values`` is the one
+A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2: half the weights
+``core._pair_weights`` gives its four cells, a part in b1 (pairs (1,1) and
+(2,1)) plus a part in b2 (pairs (1,2) and (2,2)), each in -(d-1)..d-1.  Its
+case code splits the same way, into a class of b1 and a class of b2, which
+together index ``CLASS_CASE``.  ``strategy_values`` is the one
 per-strategy formula: ``lhv.strategy_bell_value`` and ``classify_strategy``
 run it on Python ints, ``lhv.sample_strategies`` on each drawn chunk, and
 the ``lhv-cross-identity`` row of ``check`` on its strategy columns.
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import OutcomeMapping
+from .core import OutcomeMapping, _pair_weights
 
 # numba is no longer used; the flags stay for tools that still report them
 HAS_NUMBA = False
@@ -42,10 +40,10 @@ CASE_CODE = np.array(
     dtype=np.int8,
 )
 
-# case code at 4*(class of b1) + (class of b2): the class of b1 is
-# 2*[a1+b1 >= d] + [a2+b1 >= d] and the class of b2 is 2*[a2+b2 >= d] + [a1+b2 >= d]
-_N1_PART, _N2_PART = np.divmod(np.arange(4), 2)
-CLASS_CASE = CASE_CODE[np.add.outer(_N1_PART, _N1_PART), np.add.outer(_N2_PART, _N2_PART)].ravel()
+# case code at 4*(class of b1) + (class of b2), where the class of b is
+# 2*[a1+b >= d] + [a2+b >= d]: a1+b1 and a2+b2 count towards n1, a2+b1 and a1+b2 towards n2
+_HIGH, _LOW = np.divmod(np.arange(4), 2)
+CLASS_CASE = CASE_CODE[np.add.outer(_HIGH, _LOW), np.add.outer(_LOW, _HIGH)].ravel()
 
 # int8 factor of the class bits, so that classes and the CLASS_CASE index stay int8
 _TWO = np.int8(2)
@@ -59,17 +57,11 @@ def row_dtype(d):
     return np.int16 if d <= 1 << 15 else np.int64
 
 
-def _b1_part(g, a1, a2, b1):
-    """X and the class of b1 for broadcastable outcome arrays."""
+def _part(g, j, a1, a2, b):
+    """Half the weights of pairs (1, j+1) and (2, j+1) at b, and the class of b: b1 at j = 0, b2 at j = 1."""
     d = g.d
-    return g(a2, b1) - g(a1, b1), _TWO * (a1 + b1 >= d) + (a2 + b1 >= d)
-
-
-def _b2_part(g, a1, a2, b2):
-    """Y and the class of b2 for broadcastable outcome arrays."""
-    d = g.d
-    g12 = g(a1, b2)
-    return -g(a2, b2) - (d - g12) * (g12 != 0), _TWO * (a2 + b2 >= d) + (a1 + b2 >= d)
+    half = (_pair_weights(d, j, g(a1, b)) + _pair_weights(d, 2 + j, g(a2, b))) >> 1
+    return half, _TWO * (a1 + b >= d) + (a2 + b >= d)
 
 
 def strategy_values(g, a1, a2, b1, b2):
@@ -78,9 +70,9 @@ def strategy_values(g, a1, a2, b1, b2):
     The four outcome arguments are integer arrays that broadcast together,
     or Python ints; ``g`` is the ``OutcomeMapping``.
     """
-    x, u = _b1_part(g, a1, a2, b1)
-    y, v = _b2_part(g, a1, a2, b2)
-    return (g.d - 1) + x + y, CLASS_CASE[4 * u + v]
+    x, u = _part(g, 0, a1, a2, b1)
+    y, v = _part(g, 1, a1, a2, b2)
+    return x + y, CLASS_CASE[4 * u + v]
 
 
 def fill_strategy_arrays(d, g, out_num, out_case, a1_lo, a1_hi):
@@ -114,7 +106,7 @@ def count_strategies(g):
     d = g.d
     a = np.arange(d)
     step = max(1, _BLOCK // (d * d))
-    # x lies in -(d-1)..d-1 and y in -2(d-1)..0; shifted, both index 2d-1 bins
+    # both halves lie in -(d-1)..d-1; shifted by d-1, each indexes 2d-1 bins
     width = 2 * d - 1
     joint, by_class, top = np.zeros((width, width)), np.zeros((4, 4), np.int64), np.empty((d, d), np.int64)
 
@@ -125,10 +117,10 @@ def count_strategies(g):
 
     for lo in range(0, d, step):
         # axes (a1, a2, b) for the a1 of the block: b is b1 for x and u, b2 for y and v
-        x, u = _b1_part(g, a[lo : lo + step, None, None], a[:, None], a)
-        y, v = _b2_part(g, a[lo : lo + step, None, None], a[:, None], a)
-        hx = per_pair(x + (d - 1), width).astype(np.float64)
-        joint += hx.T @ per_pair(y + 2 * (d - 1), width).astype(np.float64)
+        x, u = _part(g, 0, a[lo : lo + step, None, None], a[:, None], a)
+        y, v = _part(g, 1, a[lo : lo + step, None, None], a[:, None], a)
+        hx, hy = (per_pair(h + (d - 1), width).astype(np.float64) for h in (x, y))
+        joint += hx.T @ hy
         by_class += per_pair(u, 4).T @ per_pair(v, 4)
         top[lo : lo + step] = x.max(axis=2) + y.max(axis=2)
     # joint[i, j] has numerator i + j - 2(d-1): sum its anti-diagonals
@@ -147,7 +139,7 @@ def count_strategies(g):
         start = 0
         for lo in range(0, len(a1s), step):
             p1, p2 = a1s[lo : lo + step, None], a2s[lo : lo + step, None]
-            x, y = _b1_part(g, p1, p2, a)[0], _b2_part(g, p1, p2, a)[0]
+            x, y = _part(g, 0, p1, p2, a)[0], _part(g, 1, p1, p2, a)[0]
             # a pair at the maximum attains it where x and y both reach their own maxima
             x_ties, y_ties = x == x.max(axis=1, keepdims=True), y == y.max(axis=1, keepdims=True)
             k, b1, b2 = np.nonzero(x_ties[:, :, None] & y_ties[:, None, :])

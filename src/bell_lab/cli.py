@@ -312,7 +312,8 @@ def _lhv_cross_identity(rows: np.ndarray, d: int) -> tuple[bool, bool]:
     The first compares each strategy's Bell numerator from
     ``_accel.strategy_values`` under the sum mapping, doubled, with
     ``bell_weights(d)`` summed over its four point-mass cells: the integer
-    dot that ``bell_expression`` takes on its ``strategy_to_table``.  The
+    dot that ``bell_expression`` takes on its ``strategy_to_table``: one rule,
+    ``core._pair_weights``, on the mapping's arithmetic and on its table.  The
     second checks each value against the numerators (d - 1) * v of the
     values v that its case code admits (``lhv.case_value_set``).
     """

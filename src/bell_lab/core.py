@@ -17,7 +17,7 @@ arithmetic alongside the floating-point path.  An exact table keeps integer
 numerators over one denominator: int64 while every exact sum taken of them
 fits in int64 and their float quotients are correctly rounded, Python ints
 otherwise (see ``JointProbabilityTable``).  Bell-type values weigh a table
-by the integer weights of one rule, ``_signed_weights``: ``bell_weights(d)``
+by the integer weights of one rule, ``_pair_weights``: ``bell_weights(d)``
 on the sum mapping, CGLMP's on the difference mapping.  ``_value`` evaluates
 them: one integer dot product on an exact table, ``_weighted_value``'s float
 sum per pair on any other.  A table is checked once, when it is made; the
@@ -94,11 +94,6 @@ def _pair_sum(values):
     return sum(s * v for s, v in zip(PAIR_SIGNS, values))
 
 
-def _orient(i: int, j: int) -> int:
-    """Orientation of setting pair (i, j) from ``PAIR_ORIENT``: -1 for the reversed pair (1,2)."""
-    return PAIR_ORIENT[2 * (i - 1) + (j - 1)]
-
-
 class OutcomeMapping:
     """A map g(a, b) of outcome pairs onto {0, ..., d-1}, bijective in each argument.
 
@@ -164,15 +159,21 @@ class OutcomeMapping:
         return f"OutcomeMapping(d={self.d}, name={self.name!r})"
 
 
-def _signed_weights(d: int, g: np.ndarray) -> np.ndarray:
-    """The one Bell weight rule: ``PAIR_SIGNS`` times (d - 1) - 2k, k = (o_ij * g) mod d, as int64.
+def _pair_weights(d, k: int, g):
+    """The one Bell weight rule: pair k = 2(i - 1) + (j - 1) weighs g by ``PAIR_SIGNS[k]`` * ((d - 1) - 2m).
 
-    Over the denominator d - 1, (d - 1) - 2k is (S - k) / S, the weight of the
-    synthetic spin projection S - k of the mapped outcome g; the pairs lie on
-    the first two axes, the cells of ``g`` on the rest.
+    Over d - 1 this is the spin weight (S - m) / S of m = (o_ij * g) mod d, o_ij in ``PAIR_ORIENT``.
+    Elementwise on g in 0..d - 1, so a reversed m is (d - g) * [g != 0] and no division runs.
     """
-    axes = (2, 2, 1, 1)
-    return np.reshape(PAIR_SIGNS, axes) * ((d - 1) - 2 * ((np.reshape(PAIR_ORIENT, axes) * g) % d))
+    if PAIR_ORIENT[k] < 0:
+        g = (d - g) * (g != 0)
+    w = (d - 1) - 2 * g
+    return -w if PAIR_SIGNS[k] < 0 else w
+
+
+def _signed_weights(d: int, g: np.ndarray) -> np.ndarray:
+    """The four pairs' ``_pair_weights`` at the cells ``g``: pairs on the first two axes, cells on the rest."""
+    return np.stack([_pair_weights(d, k, g) for k in range(4)]).reshape(2, 2, *g.shape)
 
 
 @lru_cache(maxsize=8)
@@ -468,7 +469,7 @@ def qutrit_complex_correlation(t: JointProbabilityTable, i: int, j: int):
     alpha = np.exp(2j * np.pi / 3)
     m, n = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     moment = complex((alpha ** (m + n) * p).sum())
-    return moment, moment.real + _orient(int(i), int(j)) * moment.imag / np.sqrt(3.0)
+    return moment, moment.real + PAIR_ORIENT[SETTING_PAIRS.index((i, j))] * moment.imag / np.sqrt(3.0)
 
 
 def mapped_spin_distribution(t: JointProbabilityTable, i: int, j: int, mapping: OutcomeMapping) -> np.ndarray:
@@ -548,7 +549,7 @@ def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | fl
     if t.is_exact:
         return _pair_value(t, i, j, _signed_weights(t.d, OutcomeMapping.difference_mapping(t.d).table))
     diff = difference_distribution(t, i, j)  # subtable checks i and j
-    return _cglmp_fold(diff, _orient(int(i), int(j)))[0]
+    return _cglmp_fold(diff, PAIR_ORIENT[SETTING_PAIRS.index((i, j))])[0]
 
 
 def _cglmp_fold(dists: np.ndarray, orients) -> list[float]:

@@ -2,11 +2,12 @@
 
 A deterministic strategy fixes one outcome per setting, (a1, a2, b1, b2).
 Plugging its point-mass table into the Bell expression gives an exact
-rational whose doubled numerator is an integer over d - 1, so the whole
-strategy space can be counted in integer arithmetic.  For the sum and
-difference mappings the count certifies the local bound: the maximum over all
-strategies is 2 at every d it covers.  Other Latin-square mappings can exceed
-it (a permuted 5 x 5 square reaches 3).
+rational whose doubled numerator, an integer over d - 1, sums ``core``'s
+weight rule at its four cells, so the whole strategy space can be counted
+in integer arithmetic.  For the sum and difference mappings the count
+certifies the local bound: the maximum over all strategies is 2 at every d
+it covers.  Other Latin-square mappings can exceed it (a permuted 5 x 5
+square reaches 3).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def _coerce_strategy(s, d: int) -> tuple[int, int, int, int]:
 def strategy_bell_value(s, d) -> Fraction:
     """Exact Bell value of a deterministic strategy.
 
-    Evaluated by ``_accel.strategy_values``, the separation into a part in b1
-    and a part in b2 that enumeration and sampling run, on the outcomes as
-    Python ints under the sum mapping, so it is exact at any d.
+    Evaluated by ``_accel.strategy_values``, ``bell_weights``' rule at its four
+    cells as enumeration and sampling run it, on the outcomes as Python ints
+    under the sum mapping, so it is exact at any d.
     """
     g = OutcomeMapping.sum_mapping(d)
     num, _ = _accel.strategy_values(g, *_coerce_strategy(s, g.d))

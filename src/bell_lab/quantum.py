@@ -30,10 +30,15 @@ from .core import (
     check_array_size,
     check_dimension,
 )
-from .errors import SingularAngleError
+from .errors import DimensionError, SingularAngleError
 
 # sin factors smaller than this are treated as an exact zero of the closed form
 SINGULAR_TOL = 1e-9
+
+# the largest d whose outcome-sum distributions are built, for their memory:
+# noise peaks at 237 MB at d = 10**6 and 558 MB at 3 * 10**6 (about 1.7 GB
+# and 8 s at the limit, 2 vCPUs); optimize peaks as high, at 37 us per d (6 min)
+SUM_D_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,20 @@ def sum_distributions(d, settings: MeasurementSettings | None = None) -> np.ndar
     on k only: it is entry k of the FFT of exp(-2 pi i l phi / d), and the
     d outcome pairs of class k give d times its squared modulus.  One
     length-d FFT per setting pair, the four taken in one call.  A d whose
-    (2, 2, d, d) table exceeds the largest array is refused before anything
-    is allocated.  The distributions pass the table gate (finite,
-    non-negative, each pair summing to 1 within ``INTERNAL_TOL``), so a phase
-    too large for the arithmetic is refused there, without a warning.
-    ``scan``, ``optimize`` and ``noise`` evaluate these.
+    (2, 2, d, d) table exceeds the largest array, or above ``SUM_D_LIMIT``
+    (read at each call), is refused before anything is allocated.  The
+    distributions pass the table gate (finite, non-negative, each pair
+    summing to 1 within ``INTERNAL_TOL``), so a phase too large for the
+    arithmetic is refused there, without a warning.  ``scan``, ``optimize``
+    and ``noise`` evaluate these.
     """
     d = check_dimension(d)
     check_table_size(d)
+    if d > SUM_D_LIMIT:
+        raise DimensionError(
+            f"d = {d} is too large: outcome-sum distributions are supported for d <= {SUM_D_LIMIT} "
+            "(their memory grows as d)"
+        )
     settings = settings or CANONICAL_PHASES
     pairs = (settings.phases(i, j) for i, j in SETTING_PAIRS)
     phi = np.reshape([alpha + beta for alpha, beta in pairs], (2, 2, 1))

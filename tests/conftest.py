@@ -1,11 +1,23 @@
 """Shared helpers for the test suite."""
 
+import os
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bell_lab.core import SETTING_PAIRS, JointProbabilityTable
-from bell_lab.core import random_rational_table, random_table  # noqa: F401  (shared with the tests)
-from bell_lab.quantum import CANONICAL_PHASES
+# a test run leaves no bytecode in the checkout, nor do the children its
+# tests start: benchmark children run from the checkout would read it
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+# pytest compiled this file before the lines above ran
+shutil.rmtree(Path(__file__).with_name("__pycache__"), ignore_errors=True)
+
+from bell_lab.core import SETTING_PAIRS, JointProbabilityTable  # noqa: E402
+from bell_lab.core import random_rational_table, random_table  # noqa: E402, F401  (shared with the tests)
+from bell_lab.quantum import CANONICAL_PHASES  # noqa: E402
 
 
 @pytest.fixture

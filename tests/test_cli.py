@@ -826,6 +826,42 @@ class TestUsage:
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command", ["noise", "optimize"])
+    @pytest.mark.parametrize("d", [quantum.SUM_D_LIMIT + 1, 536870911])
+    def test_dimension_above_the_sum_distribution_limit(self, capsys, monkeypatch, command, d):
+        # below the table gate, so only the memory bound refuses it, before
+        # the phases are read and any d-sized array is built
+        assert d < TestScanCommand.TABLE_LIMIT
+
+        def unreachable(*args, **kwargs):
+            pytest.fail(f"{command} built outcome-sum distributions above SUM_D_LIMIT")
+
+        monkeypatch.setattr(quantum.MeasurementSettings, "phases", unreachable)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--d", str(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: d = {d} is too large: outcome-sum distributions are supported"
+            f" for d <= {quantum.SUM_D_LIMIT} (their memory grows as d)\n"
+        )
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("command", ["noise", "optimize"])
+    def test_dimension_at_the_sum_distribution_limit_passes_the_guard(self, monkeypatch, command):
+        class Built(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(quantum.MeasurementSettings, "phases", sentinel)
+        with pytest.raises(Built):
+            cli.run([command, "--d", str(quantum.SUM_D_LIMIT)])
+
     # work that allocates d-sized or d x d arrays before a table is built:
     # at these d it would exhaust the memory of a small host
     HEAVY = {

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bell_lab as bl
-from bell_lab import _accel, core, lhv
+from bell_lab import _accel, cli, core, lhv
 from bell_lab.errors import BellLabError, EnumerationSizeError, SeedError
 
 F = Fraction
@@ -665,3 +665,49 @@ class TestBackends:
         _accel.fill_strategy_arrays(d, g, num, case, 0, d)
         for idx, s in enumerate(all_strategies(d)):
             assert (F(2 * int(num[idx]), d - 1), lhv.CASE_LABELS[case[idx]]) == closed_form(s, d)
+
+
+class TestOneWeightRule:
+    """Strategy values read the pair conventions from ``core`` alone."""
+
+    # (PAIR_SIGNS, PAIR_ORIENT): the package's own, then two others
+    CONVENTIONS = [
+        ((1, 1, -1, 1), (1, -1, 1, 1)),
+        ((1, -1, 1, 1), (1, 1, -1, 1)),
+        ((-1, 1, 1, 1), (-1, 1, 1, -1)),
+    ]
+
+    @pytest.mark.parametrize("signs, orient", CONVENTIONS)
+    def test_enumeration_follows_the_pair_conventions(self, signs, orient):
+        bl.bell_weights.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "PAIR_SIGNS", signs)
+                patch.setattr(core, "PAIR_ORIENT", orient)
+                for d in range(2, 7):
+                    rows = np.indices((d,) * 4).reshape(4, -1).T
+                    a1, a2, b1, b2 = rows.T
+                    w = bl.bell_weights(d)
+                    doubled = w[0, 0, a1, b1] + w[0, 1, a1, b2] + w[1, 0, a2, b1] + w[1, 1, a2, b2]
+                    assert (doubled % 2 == 0).all()
+                    expect = Counter(F(int(x), d - 1) for x in doubled)
+                    assert bl.enumerate_strategies(d).histogram == expect
+                    assert cli._lhv_cross_identity(rows, d)[0]
+        finally:
+            bl.bell_weights.cache_clear()
+
+
+class TestSpinAssembly:
+    """Strategy values against the paper's spin assembly, which reads no Bell weights."""
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_every_strategy_matches_the_spin_assembly(self, d):
+        rng = np.random.default_rng(100 + d)
+        mappings = [bl.OutcomeMapping.sum_mapping(d), bl.OutcomeMapping.difference_mapping(d)]
+        mappings += [bl.OutcomeMapping(d, random_latin_square(d, rng), "latin") for _ in range(3)]
+        rows = np.indices((d,) * 4).reshape(4, -1).T
+        for mapping in mappings:
+            nums, _ = _accel.strategy_values(mapping, *rows.T)
+            for s, num in zip(rows.tolist(), nums.tolist()):
+                table = bl.strategy_to_table(s, d)
+                assert F(2 * num, d - 1) == bl.bell_from_spin_correlations(table, mapping), (mapping.name, s)
