@@ -10,12 +10,10 @@ from numbers import Real
 import numpy as np
 
 from .core import (
-    PAIR_ORIENT,
     JointProbabilityTable,
     OutcomeMapping,
-    _cglmp_fold,
+    _cglmp_value,
     _outcome_classes,
-    _pair_sum,
     _sum_class_bell,
     bell_expression,
     bell_from_spin_correlations,
@@ -191,7 +189,7 @@ def cglmp_crosscheck(table: JointProbabilityTable) -> dict:
     if table.is_exact:
         cglmp_value = bell_from_spin_correlations(table, OutcomeMapping.sum_mapping(table.d))
     else:
-        cglmp_value = _pair_sum(_cglmp_fold(_outcome_classes(table.p, 1).sum(axis=-1), PAIR_ORIENT))
+        cglmp_value = _cglmp_value(_outcome_classes(table.p, 1).sum(axis=-1))
     return {
         "kernel_value": kernel_value,
         "cglmp_value": cglmp_value,
@@ -247,7 +245,7 @@ def scan_dimensions(d_max) -> ScanResult:
                 q_correlation=q,
                 bell_quantum=bell,
                 p_threshold=2.0 / bell,
-                cglmp_value=_pair_sum(_cglmp_fold(sum_distributions(d), PAIR_ORIENT)),
+                cglmp_value=_cglmp_value(sum_distributions(d)),
                 lhv_max=lhv_max,
             )
         )

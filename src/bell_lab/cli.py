@@ -554,10 +554,7 @@ def run(argv=None) -> int:
         else:
             sys.stdout.write("\n".join(lines) + "\n")
         return status
-    except BellLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (BellLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:

@@ -231,10 +231,11 @@ class JointProbabilityTable:
     numerators sum to the denominator, so no sum over the four pairs wraps.
     Python ints keep correlations of rational mixtures exact when the
     denominator passes those bounds.  The input may be an integer array of
-    any dtype or nested sequences of Python ints; each flaw raises the same
-    error whatever the input's dtype, and pair sums are taken so that none
-    wraps around.  Tables compare and hash by identity: their arrays have no
-    single truth value to compare by.
+    any dtype or nested sequences of Python ints; it is read as Python ints,
+    so one check raises the same error whatever the input's dtype and no
+    pair sum wraps around, and the storage rule alone picks the dtype.
+    Tables compare and hash by identity: their arrays have no single truth
+    value to compare by.
     """
 
     d: int
@@ -256,21 +257,11 @@ class JointProbabilityTable:
         else:
             if self.p is not None:
                 raise TypeError("an exact table takes numerators only: p is computed from them")
-            numerators = self.numerators
-            # an int64 array whose pair sums cannot wrap is summed as it is;
-            # anything else is checked entry by entry as Python ints
-            if not (
-                isinstance(numerators, np.ndarray)
-                and numerators.dtype == np.int64
-                and numerators.shape == shape
-                and numerators.min() >= 0
-                and numerators.max() <= (_INT64_LIMIT - 1) // (d * d)
-            ):
-                numerators = np.array(numerators, dtype=object)
-                if numerators.shape != shape or set(map(type, numerators.flat)) != {int}:
-                    raise TableFormatError(f"expected {shape} Python-int numerators, got {numerators.shape}")
-                if numerators.min() < 0:
-                    raise NormalizationError("exact table contains negative entries")
+            numerators = np.array(self.numerators, dtype=object)  # Python ints: no sum wraps
+            if numerators.shape != shape or set(map(type, numerators.flat)) != {int}:
+                raise TableFormatError(f"expected {shape} Python-int numerators, got {numerators.shape}")
+            if numerators.min() < 0:
+                raise NormalizationError("exact table contains negative entries")
             sums = numerators.sum(axis=(2, 3)).ravel().tolist()
             denominator = sums[0]
             for (i, j), total in zip(SETTING_PAIRS, sums):
@@ -389,14 +380,13 @@ def random_rational_table(d: int, rng: np.random.Generator) -> JointProbabilityT
     It is the table ``from_fractions`` makes of the entries Fraction(w, T),
     T the pair's total, built without them: with G = gcd(T, the pair's
     weights) and L the lcm of the four T // G, entry w is
-    (w // G) * (L // (T // G)) over L, in Python ints where 9 * L passes int64.
+    (w // G) * (L // (T // G)) over L, in Python ints; the constructor picks their storage.
     """
     weights = np.stack([rng.integers(1, 10, size=(d, d)) for _ in range(4)])
     totals = weights.sum(axis=(1, 2)).tolist()
     gcds = [math.gcd(total, int(np.gcd.reduce(w, axis=None))) for total, w in zip(totals, weights)]
     denominator = math.lcm(*(total // g for total, g in zip(totals, gcds)))
-    kind = object if 9 * denominator >= _INT64_LIMIT else np.int64
-    nums = [(w // g).astype(kind) * (denominator // (t // g)) for w, t, g in zip(weights, totals, gcds)]
+    nums = [(w // g).astype(object) * (denominator // (t // g)) for w, t, g in zip(weights, totals, gcds)]
     return JointProbabilityTable(d, numerators=np.reshape(nums, (2, 2, d, d)))
 
 
@@ -564,6 +554,11 @@ def _cglmp_fold(dists: np.ndarray, orients) -> list[float]:
     terms = np.zeros((len(q), len(k) + 1))
     terms[:, 1:] = (1.0 - 2.0 * k / (d - 1)) * (q[rows, k * e % d] - q[rows, (-k - 1) * e % d])
     return np.add.accumulate(terms, axis=1)[:, -1].tolist()
+
+
+def _cglmp_value(dists: np.ndarray) -> float:
+    """The CGLMP value of (2, 2, d) class distributions: each pair's fold with its ``PAIR_ORIENT``, signed."""
+    return _pair_sum(_cglmp_fold(dists, PAIR_ORIENT))
 
 
 def cglmp_expression(t: JointProbabilityTable) -> Fraction | float:

@@ -226,6 +226,31 @@ class TestCglmpCrosscheck:
             by_sum = t.p[:, :, m, (m[:, None] - m) % d]
             assert bl.shift_symmetry_deviation(t) == float((by_sum.max(axis=-1) - by_sum.min(axis=-1)).max())
 
+    # (PAIR_SIGNS, PAIR_ORIENT): the package's own, then two others
+    CONVENTIONS = [
+        ((1, 1, -1, 1), (1, -1, 1, 1)),
+        ((1, -1, 1, 1), (1, 1, -1, 1)),
+        ((-1, 1, 1, 1), (-1, 1, 1, -1)),
+    ]
+
+    @pytest.mark.parametrize("signs, orient", CONVENTIONS)
+    def test_cglmp_values_follow_the_pair_conventions(self, signs, orient):
+        # every CGLMP fold reads the conventions from core when it runs
+        bl.bell_weights.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "PAIR_SIGNS", signs)
+                patch.setattr(core, "PAIR_ORIENT", orient)
+                rng = np.random.default_rng(34)
+                for d in range(2, 9):
+                    t = random_table(d, rng)
+                    assert bl.cglmp_crosscheck(t)["cglmp_value"] == bl.cglmp_expression(conjugate_second_party(t))
+                for row in bl.scan_dimensions(8).rows:
+                    expect = bl.cglmp_crosscheck(sum_amplitude_table(row.d))["cglmp_value"]
+                    assert abs(row.cglmp_value - expect) < 1e-12, row.d
+        finally:
+            bl.bell_weights.cache_clear()
+
     def test_exact_crosscheck_builds_no_table(self, rng, monkeypatch):
         # the sum mapping's spin assembly against the kernel dot: two exact computations
         t = core.random_rational_table(7, rng)
