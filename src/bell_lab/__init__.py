@@ -9,12 +9,12 @@ and optimization analyses plus a command line front end.
 
 import os
 
-# Set before the submodules import numpy: OpenBLAS reads this exponent when it
-# loads, and its default of 28 keeps an idle worker thread spinning for about
-# 2**28 cycles (0.1 s of CPU in every short process) before it sleeps.  2**20
-# cycles is about 0.3 ms.  The thread count, and so every product's bits, is
-# unchanged; a value the caller set wins.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+# Set before the submodules import numpy: OpenBLAS reads its thread count when
+# it loads.  With one thread it starts no worker, so no idle worker spins for
+# CPU after a product and no later product waits 12-16 ms to wake one (the
+# products here take 0.2 ms at lhv's d = 64).  born_table splits its own four
+# products over two threads; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
     OptimizationResult,

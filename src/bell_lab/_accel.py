@@ -12,9 +12,11 @@ the ``lhv-cross-identity`` row of ``check`` on its strategy columns.
 from per-pair histograms, built for a block of a1 at a time, in O(d**2)
 memory.  Its time is O(d**4): the products of the value histograms,
 (2d-1) x d**2 by d**2 x (2d-1) in all, about 4 d**4 multiply-adds, taken in
-float64 so that BLAS runs them.  Their float64 sum is exact: every partial
-sum is a non-negative integer no larger than the d**4 strategies, and
-d**4 < 2**53 at every d counted.
+float64 so that BLAS runs them.  They run on one OpenBLAS thread (the default
+``import bell_lab`` sets): each is small, 0.2 ms at d = 64, where waking an
+idle OpenBLAS worker for it took 12-16 ms (2 vCPUs).  Their float64 sum is
+exact: every partial sum is a non-negative integer no larger than the d**4
+strategies, and d**4 < 2**53 at every d counted.
 ``fill_strategy_arrays`` writes every strategy out in O(d**4) memory and is
 kept as the reference the tests compare the count against.
 """

@@ -36,6 +36,11 @@ SCAN_LHV_LIMIT = 16
 # O(d_max**2), about 3e-7 * d_max**2 s (1.0 s at 2000, 22 s at 8000, 2 vCPUs)
 SCAN_D_LIMIT = 10_000
 
+# the largest d an optimize run accepts: its time grows as d, one FFT of four
+# length-d rows per evaluation, about 56 us per d for a seeded run (5.0 s at
+# 10**5, 45 s at 8 * 10**5, 2 vCPUs); seeds 1 and 4 took 26 s at the limit
+OPTIMIZE_D_LIMIT = 500_000
+
 
 def noisy_table(table: JointProbabilityTable, visibility: float) -> JointProbabilityTable:
     """The table mixed with uniform noise at the given visibility.
@@ -120,9 +125,14 @@ def optimize_phases(
     sweep of 8 evaluations that changes nothing: they are counted, not run.
     ``halvings`` must be a non-negative integer and ``step`` a positive
     finite number: a bool, a string or (for ``halvings``) a float raises
-    ``TypeError``, and a value out of range ``ValueError``.
+    ``TypeError``, and a value out of range ``ValueError``.  A d whose table
+    is too large for an array, or above ``OPTIMIZE_D_LIMIT`` (read at each
+    call), raises ``DimensionError`` before the first evaluation.
     """
     d = check_dimension(d)
+    check_table_size(d)
+    if d > OPTIMIZE_D_LIMIT:
+        raise DimensionError(f"optimize is supported for d <= {OPTIMIZE_D_LIMIT} (its time grows as d), got {d}")
     if type(halvings) is not int and not isinstance(halvings, np.integer):
         raise TypeError(f"halvings must be an integer, got {halvings!r}")
     if halvings < 0:

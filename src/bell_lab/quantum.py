@@ -17,6 +17,7 @@ paths agree.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ SINGULAR_TOL = 1e-9
 
 # the largest d whose outcome-sum distributions are built, for their memory:
 # noise peaks at 237 MB at d = 10**6 and 558 MB at 3 * 10**6 (about 1.7 GB
-# and 8 s at the limit, 2 vCPUs); optimize peaks as high, at 37 us per d (6 min)
+# and 8 s at the limit, 2 vCPUs); optimize has its own, lower limit, for time
 SUM_D_LIMIT = 10_000_000
 
 
@@ -107,6 +108,13 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     and the spin-projection distribution are checked against this table.
     A d whose table exceeds the largest array is refused before the bases,
     which are half its size, are built.
+
+    The four products are independent, so they run on two threads: a helper
+    thread fills pairs (1, j) and the caller pairs (2, j), and an exception
+    in either thread is raised in the caller.  Each product is the same
+    zgemm call as in a one-thread loop, so the split moves no bit.  Under
+    the one-thread OpenBLAS default that ``import bell_lab`` sets, these two
+    threads are the only parallel work.
     """
     d = check_dimension(d)
     check_table_size(d)
@@ -115,9 +123,33 @@ def born_table(d, settings: MeasurementSettings | None = None) -> JointProbabili
     ca = [np.conj(measurement_basis(d, a)) for a in (settings.alpha1, settings.alpha2)]
     cbt = [np.conj(measurement_basis(d, b)).T for b in (settings.beta1, settings.beta2)]
     p = np.empty((2, 2, d, d))
-    for i, j in SETTING_PAIRS:
-        amp = ca[i - 1] @ cbt[j - 1] / np.sqrt(d)
-        p[i - 1, j - 1] = np.abs(amp) ** 2
+    # one amplitude buffer per thread, allocated by the caller: a buffer the
+    # helper allocated would stay in its own malloc arena after the build
+    amps = np.empty((2, d, d), dtype=complex)
+    failed = []
+
+    def fill(i):
+        # the ufuncs of np.abs(ca @ cbt / sqrt(d)) ** 2, written in place; an
+        # exception is kept for the caller to raise once both threads are done
+        amp = amps[i - 1]
+        try:
+            for j in (1, 2):
+                np.matmul(ca[i - 1], cbt[j - 1], out=amp)
+                np.divide(amp, np.sqrt(d), out=amp)
+                out = p[i - 1, j - 1]
+                np.abs(amp, out=out)
+                np.square(out, out=out)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=fill, args=(1,))
+    helper.start()
+    fill(2)
+    helper.join()
+    if failed:
+        raise failed[0]
+    # the bases and buffers go before the table's checks allocate theirs
+    del ca, cbt, amps
     return JointProbabilityTable.from_array(p)
 
 

@@ -17,7 +17,7 @@ shutil.rmtree(Path(__file__).with_name("__pycache__"), ignore_errors=True)
 
 from bell_lab.core import SETTING_PAIRS, JointProbabilityTable  # noqa: E402
 from bell_lab.core import random_rational_table, random_table  # noqa: E402, F401  (shared with the tests)
-from bell_lab.quantum import CANONICAL_PHASES  # noqa: E402
+from bell_lab.quantum import CANONICAL_PHASES, measurement_basis  # noqa: E402
 
 
 @pytest.fixture
@@ -94,3 +94,19 @@ def sum_amplitude_table(d, settings=None) -> JointProbabilityTable:
     return JointProbabilityTable.from_array(
         np.lib.stride_tricks.sliding_window_view(doubled, d, axis=-1)
     )
+
+
+def sequential_born_table(d, settings=None) -> np.ndarray:
+    """``born_table``'s probabilities from its four products in one thread, in order: its oracle.
+
+    Each party's conjugated basis is built once per setting, and entry
+    (m, n) of pair (i, j) is |conj(ua) @ conj(ub).T / sqrt(d)|^2.
+    """
+    settings = settings or CANONICAL_PHASES
+    ca = [np.conj(measurement_basis(d, a)) for a in (settings.alpha1, settings.alpha2)]
+    cbt = [np.conj(measurement_basis(d, b)).T for b in (settings.beta1, settings.beta2)]
+    p = np.empty((2, 2, d, d))
+    for i, j in SETTING_PAIRS:
+        amp = ca[i - 1] @ cbt[j - 1] / np.sqrt(d)
+        p[i - 1, j - 1] = np.abs(amp) ** 2
+    return p

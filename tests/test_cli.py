@@ -618,6 +618,32 @@ class TestOptimizeCommand:
         assert out == ""
         assert err == f"error: --step must be a positive finite number, got {float(step)}\n"
 
+    @pytest.mark.parametrize("d", [analysis.OPTIMIZE_D_LIMIT + 1, quantum.SUM_D_LIMIT, 536870911])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+    def test_dimension_above_the_optimize_limit(self, capsys, monkeypatch, d, seed):
+        # below the table gate, so only the work bound refuses it, before the
+        # first evaluation
+        assert d < TestScanCommand.TABLE_LIMIT
+
+        def unreachable(*args, **kwargs):
+            pytest.fail("optimize evaluated phases above OPTIMIZE_D_LIMIT")
+
+        monkeypatch.setattr(analysis, "sum_distributions", unreachable)
+        code, out, err = run_cli(capsys, "optimize", "--d", str(d), *seed)
+        assert (code, out) == (2, "")
+        assert err == f"error: optimize is supported for d <= {analysis.OPTIMIZE_D_LIMIT} (its time grows as d), got {d}\n"
+
+    def test_dimension_at_the_optimize_limit_passes_the_guard(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise Evaluated
+
+        monkeypatch.setattr(analysis, "sum_distributions", sentinel)
+        with pytest.raises(Evaluated):
+            cli.run(["optimize", "--d", str(analysis.OPTIMIZE_D_LIMIT)])
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -826,20 +852,19 @@ class TestUsage:
         assert err == f"error: d = {d} is too large: its arrays exceed the largest array\n"
         assert peak < 2**20
 
-    @pytest.mark.parametrize("command", ["noise", "optimize"])
     @pytest.mark.parametrize("d", [quantum.SUM_D_LIMIT + 1, 536870911])
-    def test_dimension_above_the_sum_distribution_limit(self, capsys, monkeypatch, command, d):
+    def test_dimension_above_the_sum_distribution_limit(self, capsys, monkeypatch, d):
         # below the table gate, so only the memory bound refuses it, before
         # the phases are read and any d-sized array is built
         assert d < TestScanCommand.TABLE_LIMIT
 
         def unreachable(*args, **kwargs):
-            pytest.fail(f"{command} built outcome-sum distributions above SUM_D_LIMIT")
+            pytest.fail("noise built outcome-sum distributions above SUM_D_LIMIT")
 
         monkeypatch.setattr(quantum.MeasurementSettings, "phases", unreachable)
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, command, "--d", str(d))
+            code, out, err = run_cli(capsys, "noise", "--d", str(d))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -850,8 +875,7 @@ class TestUsage:
         )
         assert peak < 2**20
 
-    @pytest.mark.parametrize("command", ["noise", "optimize"])
-    def test_dimension_at_the_sum_distribution_limit_passes_the_guard(self, monkeypatch, command):
+    def test_dimension_at_the_sum_distribution_limit_passes_the_guard(self, monkeypatch):
         class Built(Exception):
             pass
 
@@ -860,7 +884,7 @@ class TestUsage:
 
         monkeypatch.setattr(quantum.MeasurementSettings, "phases", sentinel)
         with pytest.raises(Built):
-            cli.run([command, "--d", str(quantum.SUM_D_LIMIT)])
+            cli.run(["noise", "--d", str(quantum.SUM_D_LIMIT)])
 
     # work that allocates d-sized or d x d arrays before a table is built:
     # at these d it would exhaust the memory of a small host
@@ -1101,7 +1125,7 @@ class TestGoldenStdout:
 
 
 # a sitecustomize module that reports on stderr, at exit, the
-# OPENBLAS_THREAD_TIMEOUT that numpy's first import saw and the final one
+# OPENBLAS_NUM_THREADS that numpy's first import saw and the final one
 NUMPY_IMPORT_PROBE = """\
 import atexit, os, sys
 
@@ -1111,48 +1135,68 @@ seen = []
 class NumpyImportProbe:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
         return None
 
 
 sys.meta_path.insert(0, NumpyImportProbe())
-atexit.register(lambda: sys.stderr.write(f"{seen} {os.environ.get('OPENBLAS_THREAD_TIMEOUT')}\\n"))
+atexit.register(lambda: sys.stderr.write(f"{seen} {os.environ.get('OPENBLAS_NUM_THREADS')}\\n"))
+"""
+
+# a child that builds a threaded Born table and runs the d = 64 strategy
+# count, then prints how many threads it has
+THREAD_COUNT_CHILD = """\
+import os
+import bell_lab
+from bell_lab import _accel, core, quantum
+
+quantum.born_table(384)
+_accel.count_strategies(core.OutcomeMapping.sum_mapping(64))
+print(len(os.listdir("/proc/self/task")))
 """
 
 
-def blas_timeout_env(value=None):
-    """This process's environment with OPENBLAS_THREAD_TIMEOUT set to ``value``, or unset.
+def blas_threads_env(value=None):
+    """This process's environment with OPENBLAS_NUM_THREADS set to ``value``, or unset.
 
     Built explicitly: importing bell_lab here has already set the variable.
     """
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if value is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = value
+        env["OPENBLAS_NUM_THREADS"] = value
     return env
 
 
-class TestBlasThreadTimeout:
-    """Importing bell_lab shortens OpenBLAS's idle spin before numpy loads.
+class TestBlasThreadCount:
+    """Importing bell_lab gives OpenBLAS one thread before numpy loads.
 
-    The default is only a spin timeout: the thread count, and so how each
-    product is split and summed, stays the same, and a caller's value wins.
+    A caller's value wins, and the printed bytes do not depend on the count:
+    each product's output entries are summed the same way however OpenBLAS
+    splits it, and ``born_table`` splits its products over its own threads.
     """
 
     @pytest.mark.parametrize("entry", [["-c", "import bell_lab"], ["-m", "bell_lab", "lhv", "--d", "2"]])
-    @pytest.mark.parametrize("given, expected", [(None, "20"), ("28", "28")])
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
     def test_set_before_numpy_loads(self, tmp_path, entry, given, expected):
         (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_PROBE)
-        child = run_python(*entry, env={**blas_timeout_env(given), "PYTHONPATH": str(tmp_path)})
+        child = run_python(*entry, env={**blas_threads_env(given), "PYTHONPATH": str(tmp_path)})
         assert child.returncode == 0
         assert child.stderr == f"['{expected}'] {expected}\n"
 
     @pytest.mark.parametrize("argv", ["cglmp --d 37", "check --d 16", "quantum --d 64", "quantum --d 384"])
-    @pytest.mark.parametrize("given", [None, "28"])
+    @pytest.mark.parametrize("given", [None, "2"])
     def test_blas_vectors_print_the_golden_bytes(self, argv, given):
-        # quantum --d 384's zgemm is split across OpenBLAS's threads
-        child = run_python("-m", "bell_lab", *argv.split(), text=False, env=blas_timeout_env(given))
+        # with "2", quantum --d 384's zgemm is split across OpenBLAS's threads
+        child = run_python("-m", "bell_lab", *argv.split(), text=False, env=blas_threads_env(given))
         assert child.returncode == 0
         assert hashlib.sha256(child.stdout).hexdigest() == TestGoldenStdout.GOLDEN[argv]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_no_blas_worker_thread(self):
+        # born_table's helper thread has been joined and OpenBLAS started none
+        child = run_python("-c", THREAD_COUNT_CHILD, env=blas_threads_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "1\n"
 
 
 json_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7, 1e300])

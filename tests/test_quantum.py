@@ -6,6 +6,7 @@ existed, plus closed-form radicals where small d admits them.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import bell_lab as bl
 from bell_lab import core
 from bell_lab.errors import DimensionError, NormalizationError, SingularAngleError
-from conftest import conjugate_second_party, sum_amplitude_table
+from conftest import conjugate_second_party, sequential_born_table, sum_amplitude_table
 
 # 40-digit brute force, rounded; d=2,3,4 also match the radical forms
 FROZEN_Q = {2: 0.7071067812, 3: 0.7182335128, 4: 0.7240608046}
@@ -126,6 +127,31 @@ class TestBornTableBitIdentity:
     def test_drawn_settings(self, d, phases):
         s = bl.MeasurementSettings(*phases)
         assert np.array_equal(bl.born_table(d, s).p, per_pair_born(d, s))
+
+
+class TestThreadedBornTable:
+    """The two-thread split of born_table's products keeps every bit of the sequential loop."""
+
+    @pytest.mark.parametrize("d", [2, 3, 17, 384, 1000])
+    def test_matches_the_sequential_loop(self, d):
+        rng = np.random.default_rng(d)
+        for s in (bl.CANONICAL_PHASES, *(bl.random_settings(rng) for _ in range(3))):
+            got = bl.born_table(d, s).p
+            assert np.array_equal(got.view(np.uint64), sequential_born_table(d, s).view(np.uint64))
+
+    @pytest.mark.parametrize("helper", [True, False])
+    def test_an_error_in_either_thread_reaches_the_caller(self, monkeypatch, helper):
+        divide = np.divide
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) != helper:
+                raise FloatingPointError("product failed")
+            return divide(*args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", failing)
+        with pytest.raises(FloatingPointError, match="product failed"):
+            bl.born_table(5)
+        assert threading.active_count() == 1
 
 
 class TestSumAmplitudeTable:
