@@ -34,7 +34,6 @@ from .core import (
     bell_expression,
     bell_from_spin_correlations,
     bell_weights,
-    cglmp_correlation,
     cglmp_expression,
     check_dimension,
     correlation,
@@ -58,7 +57,6 @@ from .errors import (
 from .lhv import (
     EnumerationSummary,
     case_value_set,
-    classify_strategy,
     enumerate_strategies,
     lhv_value_set,
     sample_strategies,
@@ -103,11 +101,9 @@ __all__ = [
     "born_table",
     "canonical_correlation",
     "case_value_set",
-    "cglmp_correlation",
     "cglmp_crosscheck",
     "cglmp_expression",
     "check_dimension",
-    "classify_strategy",
     "closed_form_table",
     "correlation",
     "difference_distribution",

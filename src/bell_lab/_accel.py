@@ -5,9 +5,9 @@ A strategy (a1, a2, b1, b2) has Bell numerator (d-1)*I/2: half the weights
 (2,1)) plus a part in b2 (pairs (1,2) and (2,2)), each in -(d-1)..d-1.  Its
 case code splits the same way, into a class of b1 and a class of b2, which
 together index ``CLASS_CASE``.  ``strategy_values`` is the one
-per-strategy formula: ``lhv.strategy_bell_value`` and ``classify_strategy``
-run it on Python ints, ``lhv.sample_strategies`` on each drawn chunk, and
-the ``lhv-cross-identity`` row of ``check`` on its strategy columns.
+per-strategy formula: ``lhv.strategy_bell_value`` runs it on Python ints,
+``lhv.sample_strategies`` on each drawn chunk, and the
+``lhv-cross-identity`` row of ``check`` on its strategy columns.
 ``count_strategies`` uses the separation to summarise all d**4 strategies
 from per-pair histograms, built for a block of a1 at a time, in O(d**2)
 memory.  Its time is O(d**4): the products of the value histograms,

@@ -79,7 +79,8 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 def _check_setting(i) -> int:
-    if i not in (1, 2):
+    """i as an int, if it is a Python int or a numpy integer equal to 1 or 2; a bool or a float is neither."""
+    if (type(i) is not int and not isinstance(i, np.integer)) or i not in (1, 2):
         raise ValueError(f"setting index must be 1 or 2, got {i!r}")
     return int(i)
 
@@ -427,15 +428,13 @@ def _weighted_value(weights: np.ndarray, p: np.ndarray) -> float:
 
 
 def correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
-    """Kernel-weighted correlation Q_ij of a setting pair: a ``Fraction`` on an exact table, else a float."""
-    return _pair_value(t, i, j, bell_weights(t.d))
+    """Kernel-weighted correlation Q_ij of a setting pair: a ``Fraction`` on an exact table, else a float.
 
-
-def _pair_value(t: JointProbabilityTable, i: int, j: int, weights: np.ndarray) -> Fraction | float:
-    """Pair (i, j) weighed by its ``weights`` times its sign, in integers: a float negation gives -0.0."""
+    The pair's ``bell_weights`` times its sign, in integers: a float negation would give -0.0.
+    """
     i, j = _check_setting(i), _check_setting(j)
     pair = np.s_[i - 1 : i, j - 1 : j]
-    return _value(t, PAIR_SIGNS[SETTING_PAIRS.index((i, j))] * weights[pair], pair)
+    return _value(t, PAIR_SIGNS[SETTING_PAIRS.index((i, j))] * bell_weights(t.d)[pair], pair)
 
 
 def bell_expression(t: JointProbabilityTable) -> Fraction | float:
@@ -510,7 +509,8 @@ def bell_from_spin_correlations(t: JointProbabilityTable, mapping: OutcomeMappin
 def _outcome_classes(p: np.ndarray, sig: int) -> np.ndarray:
     """Class gather: [..., c, m] is p[..., m, (sig * (c - m)) mod d], sum class c at sig 1, difference at -1.
 
-    C-contiguous, as numpy's (2, 2, d, d) gather is not, so a row sums over m as a per-pair gather does.
+    C-contiguous, as numpy's (2, 2, d, d) gather is not, so a class of the whole table, which
+    ``cglmp_expression`` reads, sums over m to the bits of that class of one pair.
     """
     m = np.arange(p.shape[-1])
     return np.ascontiguousarray(p[..., m, (sig * (m[:, None] - m)) % len(m)])
@@ -526,46 +526,35 @@ def difference_probability(t: JointProbabilityTable, i: int, j: int, c: int) -> 
     return float(difference_distribution(t, i, j)[c % t.d])
 
 
-def cglmp_correlation(t: JointProbabilityTable, i: int, j: int) -> Fraction | float:
-    """Probability-difference correlation over outcome differences.
+def _cglmp_value(dists: np.ndarray) -> float:
+    """The CGLMP value of (2, 2, d) class distributions: each pair's fold with its ``PAIR_ORIENT``, signed.
 
-    Q_ij = sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) *
-           [P(A - B = k * e) - P(A - B = (-k - 1) * e)]   (mod d),
+    Pair (i, j) with orientation e folds its distribution q as
 
-    where e is the pair's orientation from ``PAIR_ORIENT``.  This is the
-    folded form of the difference mapping's spin correlation, whose weights
-    evaluate an exact table.
-    """
-    if t.is_exact:
-        return _pair_value(t, i, j, _signed_weights(t.d, OutcomeMapping.difference_mapping(t.d).table))
-    diff = difference_distribution(t, i, j)  # subtable checks i and j
-    return _cglmp_fold(diff, PAIR_ORIENT[SETTING_PAIRS.index((i, j))])[0]
+        sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) * [q((k * e) mod d) - q((-k - 1) * e mod d)],
 
-
-def _cglmp_fold(dists: np.ndarray, orients) -> list[float]:
-    """The ``cglmp_correlation`` folds of a stack of distributions, each with its orientation.
-
-    One accumulate adds each fold's terms to 0.0 in k order: the float
-    operations of a loop over k.
+    the probability-difference correlation of Collins et al. when q is the
+    outcome-difference distribution.  One accumulate adds each fold's terms
+    to 0.0 in k order: the float operations of a loop over k.
     """
     d = dists.shape[-1]
-    q, e, k = dists.reshape(-1, d), np.reshape(orients, (-1, 1)), np.arange(d // 2)
-    rows = np.arange(len(q))[:, None]
-    terms = np.zeros((len(q), len(k) + 1))
+    q, e, k = dists.reshape(4, d), np.reshape(PAIR_ORIENT, (4, 1)), np.arange(d // 2)
+    rows = np.arange(4)[:, None]
+    terms = np.zeros((4, len(k) + 1))
     terms[:, 1:] = (1.0 - 2.0 * k / (d - 1)) * (q[rows, k * e % d] - q[rows, (-k - 1) * e % d])
-    return np.add.accumulate(terms, axis=1)[:, -1].tolist()
-
-
-def _cglmp_value(dists: np.ndarray) -> float:
-    """The CGLMP value of (2, 2, d) class distributions: each pair's fold with its ``PAIR_ORIENT``, signed."""
-    return _pair_sum(_cglmp_fold(dists, PAIR_ORIENT))
+    return _pair_sum(np.add.accumulate(terms, axis=1)[:, -1].tolist())
 
 
 def cglmp_expression(t: JointProbabilityTable) -> Fraction | float:
-    """Bell expression of the probability-difference correlations; on an exact table, one exact dot."""
+    """Bell expression of the probability-difference correlations of Collins et al.
+
+    On an exact table it is one exact dot with the difference mapping's
+    weights; on a float table ``_cglmp_value`` of the four difference
+    distributions, read by one class gather of the table.
+    """
     if t.is_exact:
         return _value(t, _signed_weights(t.d, OutcomeMapping.difference_mapping(t.d).table))
-    return _pair_sum(cglmp_correlation(t, i, j) for i, j in SETTING_PAIRS)
+    return _cglmp_value(_outcome_classes(t.p, -1).sum(axis=-1))
 
 
 def _sum_class_bell(dists: np.ndarray) -> float:

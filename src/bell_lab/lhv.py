@@ -37,7 +37,8 @@ SAMPLE_LIMIT = 300_000_000
 # strategies drawn at a time by sample_strategies
 _SAMPLE_CHUNK = 1 << 15
 
-# indexed by _accel.CASE_CODE; already in the sorted order that reports use
+# indexed by _accel.CASE_CODE, which counts how many of a1+b1, a2+b2 and how many
+# of a1+b2, a2+b1 reach d; already in the sorted order that reports use
 CASE_LABELS = ("Case1i", "Case1ii", "Case2i", "Case2ii", "Case2iii", "Case3i", "Case3ii")
 
 
@@ -70,18 +71,6 @@ def strategy_bell_value(s, d) -> Fraction:
     g = OutcomeMapping.sum_mapping(d)
     num, _ = _accel.strategy_values(g, *_coerce_strategy(s, g.d))
     return Fraction(2 * num, g.d - 1)
-
-
-def classify_strategy(s, d) -> str:
-    """Case label from the sum structure of the strategy.
-
-    The case code of ``_accel.strategy_values`` (see ``_accel.CASE_CODE``),
-    which counts how many of a1+b1, a2+b2 and how many of a1+b2, a2+b1 reach
-    d.  Each label admits a fixed set of Bell values (see ``case_value_set``).
-    """
-    g = OutcomeMapping.sum_mapping(d)
-    _, case = _accel.strategy_values(g, *_coerce_strategy(s, g.d))
-    return CASE_LABELS[case]
 
 
 def lhv_value_set(d) -> frozenset[Fraction]:

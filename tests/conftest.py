@@ -3,6 +3,7 @@
 import os
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 # pytest compiled this file before the lines above ran
 shutil.rmtree(Path(__file__).with_name("__pycache__"), ignore_errors=True)
 
-from bell_lab.core import SETTING_PAIRS, JointProbabilityTable  # noqa: E402
+from bell_lab import _accel, lhv  # noqa: E402
+from bell_lab.core import PAIR_ORIENT, PAIR_SIGNS, SETTING_PAIRS, JointProbabilityTable, OutcomeMapping  # noqa: E402
+from bell_lab.core import _pair_weights  # noqa: E402
 from bell_lab.core import random_rational_table, random_table  # noqa: E402, F401  (shared with the tests)
 from bell_lab.quantum import CANONICAL_PHASES, measurement_basis  # noqa: E402
 
@@ -69,6 +72,46 @@ def conjugate_second_party(t) -> JointProbabilityTable:
     if t.is_exact:
         return JointProbabilityTable(t.d, numerators=t.numerators[index])
     return JointProbabilityTable(t.d, t.p[index])
+
+
+def loop_fold(diff, e) -> float:
+    """The CGLMP fold of one class distribution with orientation e, as a loop over k from 0.0."""
+    diff, d = diff.tolist(), len(diff)
+    total = 0.0
+    for k in range(d // 2):
+        coeff = 1.0 - 2.0 * k / (d - 1)
+        total += coeff * (diff[(k * e) % d] - diff[((-k - 1) * e) % d])
+    return total
+
+
+def cglmp_correlation(t, i, j):
+    """CGLMP's probability-difference correlation of pair (i, j): the per-pair oracle of ``cglmp_expression``.
+
+    Q_ij = sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) *
+           [P(A - B = k * e) - P(A - B = (-k - 1) * e)]   (mod d),
+
+    e the pair's orientation in ``PAIR_ORIENT``.  On a float table each
+    P(A - B = c) is summed over m in a loop over c, and ``loop_fold`` folds
+    them.  On an exact table it is the pair's weights on the difference
+    mapping, times its sign, over denominator * (d - 1): a ``Fraction``.
+    """
+    d, k = t.d, SETTING_PAIRS.index((i, j))
+    if t.is_exact:
+        weights = PAIR_SIGNS[k] * _pair_weights(d, k, OutcomeMapping.difference_mapping(d).table)
+        return Fraction(int(np.vdot(t.numerators[i - 1, j - 1], weights)), t.denominator * (d - 1))
+    p, rows = t.p[i - 1, j - 1], np.arange(d)
+    diff = np.array([float(p[rows, (rows - c) % d].sum()) for c in range(d)])
+    return loop_fold(diff, PAIR_ORIENT[k])
+
+
+def classify_strategy(s, d) -> str:
+    """The case label of a strategy: ``CASE_LABELS`` at the case code of ``_accel.strategy_values``.
+
+    The code counts how many of a1+b1, a2+b2 and how many of a1+b2, a2+b1
+    reach d; each label admits the Bell values of ``lhv.case_value_set``.
+    """
+    g = OutcomeMapping.sum_mapping(d)
+    return lhv.CASE_LABELS[_accel.strategy_values(g, *lhv._coerce_strategy(s, g.d))[1]]
 
 
 def sum_amplitude_table(d, settings=None) -> JointProbabilityTable:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import bell_lab
 from bell_lab import _accel, analysis, cli, core, lhv, quantum
 from bell_lab.errors import DimensionError, NormalizationError
-from conftest import as_lists, sum_amplitude_table
+from conftest import as_lists, classify_strategy, sum_amplitude_table
 
 
 def run_cli(capsys, *argv):
@@ -689,7 +689,7 @@ def scalar_cross_identity(rows, d):
     for s in map(tuple, rows):
         value = lhv.strategy_bell_value(s, d)
         cross_ok &= value == core.bell_expression(lhv.strategy_to_table(s, d))
-        case_ok &= value in value_sets[lhv.classify_strategy(s, d)]
+        case_ok &= value in value_sets[classify_strategy(s, d)]
     return cross_ok, case_ok
 
 

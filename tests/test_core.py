@@ -27,8 +27,10 @@ from bell_lab.errors import (
 
 from conftest import (
     assert_storage_rule,
+    cglmp_correlation,
     conjugate_second_party,
     count_tables,
+    loop_fold,
     random_rational_table,
     random_table,
 )
@@ -696,7 +698,7 @@ class TestCorrelationAndBell:
         def values(t):
             kind = Fraction if t.is_exact else float
             out = [bl.correlation(t, i, j) for i, j in core.SETTING_PAIRS]
-            out += [bl.cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+            out += [cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
             out += [bl.bell_expression(t), bl.bell_from_spin_correlations(t, mapping), bl.cglmp_expression(t)]
             assert all(type(v) is kind for v in out)
             return out
@@ -785,6 +787,28 @@ class TestCorrelationAndBell:
         if d in self.UNIFORM_ZERO_D:
             assert reprs == ["0.0"] * 4
 
+    SETTING_READERS = {
+        "correlation": bl.correlation,
+        "subtable": lambda t, i, j: t.subtable(i, j),
+        "mapped_spin_distribution": lambda t, i, j: bl.mapped_spin_distribution(
+            t, i, j, bl.OutcomeMapping.sum_mapping(t.d)
+        ),
+        "qutrit_complex_correlation": bl.qutrit_complex_correlation,
+        "difference_probability": lambda t, i, j: bl.difference_probability(t, i, j, 1),
+    }
+
+    @pytest.mark.parametrize("read", SETTING_READERS.values(), ids=SETTING_READERS)
+    def test_setting_indices_are_the_integers_1_and_2(self, read, rng):
+        t = random_table(3, rng)
+        for i, j in core.SETTING_PAIRS:
+            assert repr(read(t, np.int64(i), np.int8(j))) == repr(read(t, i, j))
+        # True, 1.0 and Fraction(1) equal 1 but are not integers
+        for index in (True, np.bool_(True), 1.0, np.float64(2.0), Fraction(1), "1", None, 0, 3, np.int64(-1)):
+            with pytest.raises(ValueError, match="setting index must be 1 or 2"):
+                read(t, index, 1)
+            with pytest.raises(ValueError, match="setting index must be 1 or 2"):
+                read(t, 2, index)
+
     def test_bell_combination_signs(self, rng):
         t = random_table(3, rng)
         q = {(i, j): bl.correlation(t, i, j) for i, j in core.SETTING_PAIRS}
@@ -867,53 +891,37 @@ class TestCglmpPieces:
                 for c in range(-d, 2 * d):
                     assert bl.difference_probability(t, i, j, c) == loop[c % d]
 
-    def test_cglmp_correlation_is_the_per_c_loop(self, rng):
-        def loop_correlation(t, i, j, e):
-            p, d = t.subtable(i, j), t.d
-            rows = np.arange(d)
+    # the d of the bit-for-bit checks of the float CGLMP value
+    FLOAT_CGLMP_D = (*range(2, 65), 384, 1000)
 
-            def prob(c):
-                return float(p[rows, (rows - c) % d].sum())
-
-            total = 0.0
-            for k in range(d // 2):
-                total += (1.0 - 2.0 * k / (d - 1)) * (prob(k * e) - prob((-k - 1) * e))
-            return total
-
-        for d in list(range(2, 20)) + [31, 64]:
-            t = random_table(d, rng)
-            for (i, j), e in zip(core.SETTING_PAIRS, core.PAIR_ORIENT):
-                assert bl.cglmp_correlation(t, i, j) == loop_correlation(t, i, j, e)
+    @pytest.mark.parametrize("d", FLOAT_CGLMP_D)
+    def test_cglmp_expression_is_the_sum_of_the_per_pair_loops(self, d):
+        # one class gather and one fold of the whole table add the same
+        # floats as four per-pair loops over c and k
+        for t in (random_table(d, np.random.default_rng(d)), bl.born_table(d)):
+            pairs = [cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+            assert bl.cglmp_expression(t) == core._pair_sum(pairs)
 
     def test_cglmp_d2_collapses_to_chsh_correlation(self, rng):
         t = random_table(2, rng)
+        expects = []
         for i, j in core.SETTING_PAIRS:
             sig = -1 if (i, j) == (2, 1) else 1
             expect = bl.difference_probability(t, i, j, 0) - bl.difference_probability(
                 t, i, j, sig
             )
-            assert abs(bl.cglmp_correlation(t, i, j) - expect) < 1e-14
-
-
-def loop_fold(diff, e) -> float:
-    """The CGLMP fold of one difference distribution as a loop over k, from 0.0."""
-    diff, d = diff.tolist(), len(diff)
-    total = 0.0
-    for k in range(d // 2):
-        coeff = 1.0 - 2.0 * k / (d - 1)
-        total += coeff * (diff[(k * e) % d] - diff[((-k - 1) * e) % d])
-    return total
+            assert abs(cglmp_correlation(t, i, j) - expect) < 1e-14
+            expects.append(expect)
+        assert abs(bl.cglmp_expression(t) - core._pair_sum(expects)) < 1e-14
 
 
 class TestCglmpFold:
-    def test_fold_is_the_loop_bit_for_bit(self):
+    def test_value_is_the_loop_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         for d in [*range(2, 601), 1000, 2000]:
-            rows = np.concatenate([bl.sum_distributions(d).reshape(4, d), rng.random((2, d))])
-            orients = [*core.PAIR_ORIENT, 1, -1]
-            assert core._cglmp_fold(rows, orients) == [loop_fold(q, e) for q, e in zip(rows, orients)]
-            for e in (1, -1):
-                assert core._cglmp_fold(rows, [e] * len(rows)) == [loop_fold(q, e) for q in rows]
+            for dists in (bl.sum_distributions(d), rng.random((2, 2, d))):
+                folds = [loop_fold(q, e) for q, e in zip(dists.reshape(4, d), core.PAIR_ORIENT)]
+                assert core._cglmp_value(dists) == core._pair_sum(folds)
 
     def test_scan_column_is_the_fold_of_the_sum_distributions(self):
         for row in bl.scan_dimensions(40).rows:
@@ -934,7 +942,7 @@ class TestExactCglmp:
             value = bl.cglmp_expression(u)
             assert type(value) is Fraction and value == bl.bell_expression(t)
             for i, j in core.SETTING_PAIRS:
-                q = bl.cglmp_correlation(u, i, j)
+                q = cglmp_correlation(u, i, j)
                 assert type(q) is Fraction and q == bl.correlation(t, i, j)
 
     @pytest.mark.parametrize("d", [*range(2, 41), 64])
@@ -944,7 +952,7 @@ class TestExactCglmp:
         u = conjugate_second_party(t)
         built = count_tables(monkeypatch)
         value = bl.cglmp_expression(t)
-        pairs = [bl.cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
+        pairs = [cglmp_correlation(t, i, j) for i, j in core.SETTING_PAIRS]
         assert built == []
         assert type(value) is Fraction
         assert value == bl.bell_from_spin_correlations(t, bl.OutcomeMapping.difference_mapping(d))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import bell_lab as bl
 from bell_lab import _accel, cli, core, lhv
 from bell_lab.errors import BellLabError, EnumerationSizeError, SeedError
+from conftest import classify_strategy
 
 F = Fraction
 
@@ -68,14 +69,14 @@ def closed_form(s, d):
 
 def evaluated(s, d):
     """(Bell value, case label) of a strategy from the package."""
-    return bl.strategy_bell_value(s, d), bl.classify_strategy(s, d)
+    return bl.strategy_bell_value(s, d), classify_strategy(s, d)
 
 
 class TestStrategyValue:
     def test_all_zero_strategy(self):
         for d in (2, 3, 7):
             assert bl.strategy_bell_value((0, 0, 0, 0), d) == 2
-            assert bl.classify_strategy((0, 0, 0, 0), d) == "Case1i"
+            assert classify_strategy((0, 0, 0, 0), d) == "Case1i"
 
     def test_frozen_examples_d3(self):
         cases = {
@@ -85,7 +86,7 @@ class TestStrategyValue:
             (2, 1, 2, 0): ("Case2ii", F(-1)),
         }
         for s, (label, value) in cases.items():
-            assert bl.classify_strategy(s, 3) == label
+            assert classify_strategy(s, 3) == label
             assert bl.strategy_bell_value(s, 3) == value
 
     def test_outcome_sums(self):
@@ -127,7 +128,7 @@ class TestStrategyValue:
             assert evaluated(s, d) == closed_form(s, d)
 
     def test_rejects_out_of_range_outcomes(self):
-        for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
+        for evaluate in (bl.strategy_bell_value, bl.strategy_to_table):
             with pytest.raises(ValueError):
                 evaluate((0, 0, 0, 3), 3)
             with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestStrategyValue:
 
     @pytest.mark.parametrize("s", [(), (0, 0, 0), (0, 0, 0, 0, 0)])
     def test_rejects_strategies_without_four_outcomes(self, s):
-        for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
+        for evaluate in (bl.strategy_bell_value, bl.strategy_to_table):
             with pytest.raises(TypeError):
                 evaluate(s, 3)
 
@@ -153,7 +154,7 @@ class TestStrategyValue:
         ],
     )
     def test_rejects_outcomes_that_are_not_integers(self, s):
-        for evaluate in (bl.strategy_bell_value, bl.classify_strategy, bl.strategy_to_table):
+        for evaluate in (bl.strategy_bell_value, bl.strategy_to_table):
             with pytest.raises(TypeError, match="strategy outcomes must be integers"):
                 evaluate(s, 3)
 
@@ -163,7 +164,6 @@ class TestStrategyValue:
             t = bl.strategy_to_table(tuple(dtype(x) for x in s), 3)
             assert t.numerators.tolist() == bl.strategy_to_table(s, 3).numerators.tolist()
             assert bl.strategy_bell_value(np.array(s, dtype=dtype), 3) == bl.strategy_bell_value(s, 3)
-            assert bl.classify_strategy(np.array(s, dtype=dtype), 3) == bl.classify_strategy(s, 3)
 
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=60, deadline=None)
@@ -179,7 +179,7 @@ class TestStrategyValue:
         s = tuple(data.draw(st.integers(0, d - 1)) for _ in range(4))
         value = bl.strategy_bell_value(s, d)
         assert value in bl.lhv_value_set(d)
-        assert value in bl.case_value_set(bl.classify_strategy(s, d), d)
+        assert value in bl.case_value_set(classify_strategy(s, d), d)
 
 
 class TestValueSets:
@@ -210,7 +210,7 @@ class TestValueSets:
         # every admissible (label, value) combination occurs
         seen3 = {}
         for s in all_strategies(3):
-            label = bl.classify_strategy(s, 3)
+            label = classify_strategy(s, 3)
             seen3.setdefault(label, set()).add(bl.strategy_bell_value(s, 3))
         for label, values in seen3.items():
             assert values <= bl.case_value_set(label, 3)
@@ -218,7 +218,7 @@ class TestValueSets:
 
         seen4 = {}
         for s in all_strategies(4):
-            label = bl.classify_strategy(s, 4)
+            label = classify_strategy(s, 4)
             seen4.setdefault(label, set()).add(bl.strategy_bell_value(s, 4))
         for label, values in seen4.items():
             assert values == bl.case_value_set(label, 4)
@@ -255,7 +255,7 @@ class TestEnumeration:
             summary = bl.enumerate_strategies(d)
             counts = {}
             for s in all_strategies(d):
-                label = bl.classify_strategy(s, d)
+                label = classify_strategy(s, d)
                 counts[label] = counts.get(label, 0) + 1
             assert {k: v for k, v in summary.case_counts.items() if v} == counts
 

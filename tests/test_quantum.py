@@ -223,7 +223,7 @@ def table_path_values(d, s=None):
 def sum_path_values(d, s=None):
     """The same two values from the (2, 2, d) outcome-sum distributions, in O(d)."""
     dists = bl.sum_distributions(d, s)
-    return core._sum_class_bell(dists), core._pair_sum(core._cglmp_fold(dists, core.PAIR_ORIENT))
+    return core._sum_class_bell(dists), core._cglmp_value(dists)
 
 
 class TestSumDistributions:

@@ -1,12 +1,14 @@
-"""README's fenced ``python`` blocks run as written, and its claims about the API hold."""
+"""README's fenced ``python`` blocks and ``bell-lab`` lines run as written, and its claims about the API hold."""
 
 import functools
 import inspect
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import bell_lab
+from bell_lab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -20,6 +22,26 @@ def test_python_blocks_run():
         # padded so that a traceback names the README line
         source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
         exec(compile(source, str(README), "exec"), {})
+
+
+def test_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # every `bell-lab ...` line of the sh blocks, in a fresh directory: the
+    # `quantum --d 3` table is saved as the table.json that `--input-file` reads
+    text = README.read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("bell-lab ")
+    ]
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.run(argv) == 0, line
+        out = capsys.readouterr().out
+        if argv == ["quantum", "--d", "3"]:
+            Path("table.json").write_text(out, encoding="utf-8")
 
 
 def code_names(path: Path) -> set:
@@ -53,10 +75,9 @@ def is_used():
 
 
 def test_every_exported_name_is_used():
-    # README: each name in __all__ "is used by the CLI, the check battery or
-    # the benchmark, bar classify_strategy", the tests' per-strategy case label
+    # README: each name in __all__ "is used by the CLI, the check battery or the benchmark"
     used = is_used()
-    assert [name for name in bell_lab.__all__ if not used(name)] == ["classify_strategy"]
+    assert [name for name in bell_lab.__all__ if not used(name)] == []
 
 
 def test_every_public_method_of_an_exported_class_is_used():
